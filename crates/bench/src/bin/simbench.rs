@@ -21,7 +21,6 @@ use std::time::Instant;
 use npr_bench::BENCH_WINDOW;
 use npr_core::us;
 use npr_sim::{CalendarQueue, OracleQueue, Time, XorShift64};
-use npr_vrp::VrpBackend;
 
 /// Steady-state pending-event population for the hold model. Matches
 /// the order of magnitude of a busy full-system run (every context,
@@ -129,33 +128,6 @@ fn differential_check(ops: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Lock-step differential check for the VRP execution tiers (the quick
-/// in-binary version of `crates/vrp/tests/differential.rs`): every
-/// generated program must lower, and must produce bit-identical
-/// results, MP bytes, and flow state through both backends, before the
-/// backend-axis numbers are trusted.
-fn vrp_differential_check(programs: u64) -> Result<(), String> {
-    for seed in 0..programs {
-        let prog = npr_vrp::gen::random_program(seed);
-        let exec = npr_vrp::Executable::new(prog.clone(), VrpBackend::Compiled);
-        if !exec.is_compiled() {
-            return Err(format!("seed {seed}: verified program failed to lower"));
-        }
-        for fill in [0x00u8, 0x5A, 0xFF] {
-            let mut mp_i = [fill; 64];
-            let mut st_i = vec![0u8; usize::from(prog.state_bytes)];
-            let mut mp_c = mp_i;
-            let mut st_c = st_i.clone();
-            let ri = npr_vrp::run(&prog, &mut mp_i, &mut st_i);
-            let rc = exec.run(&mut mp_c, &mut st_c);
-            if ri != rc || mp_i != mp_c || st_i != st_c {
-                return Err(format!("seed {seed} fill {fill:#04x}: backends diverged"));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Times one experiment closure, returning wall milliseconds.
 fn wall_ms(f: impl FnOnce()) -> f64 {
     let t0 = Instant::now();
@@ -179,12 +151,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("differential check: {diff_ops} lock-step ops OK");
-    let vrp_progs: u64 = if quick { 128 } else { 512 };
-    if let Err(e) = vrp_differential_check(vrp_progs) {
-        eprintln!("simbench: VRP BACKEND DIFFERENTIAL FAILED: {e}");
-        std::process::exit(1);
-    }
-    println!("vrp backend differential: {vrp_progs} programs x 3 fills OK");
 
     // 2. Events/sec, median over repetitions, alternating the two
     //    queues so frequency scaling and cache state stay comparable.
@@ -241,33 +207,7 @@ fn main() {
         println!("experiment {name}: {ms:.1} ms wall");
     }
 
-    // 3b. The VRP backend axis: pure executor throughput on both tiers
-    //     plus a full-router service-suite run on both tiers. The
-    //     compiled chain's payoff is host-only (simulated time is pinned
-    //     identical by the differential gates above).
-    let axis_iters: u64 = if quick { 20_000 } else { 120_000 };
-    let axis = npr_bench::backend_axis(axis_iters, warmup, window);
-    print!(
-        "vrp backend axis: service corpus {:.2} -> {:.2} Mexec/s ({:.2}x); heavy",
-        axis.interp_pps / 1e6,
-        axis.compiled_pps / 1e6,
-        axis.speedup,
-    );
-    for s in &axis.heavy {
-        print!(
-            " {} {:.0} -> {:.0} Minsn/s ({:.2}x),",
-            s.kind,
-            s.interp_ips / 1e6,
-            s.compiled_ips / 1e6,
-            s.speedup
-        );
-    }
-    println!(
-        " router wall {:.1} -> {:.1} ms ({:.2}x)",
-        axis.router_interp_ms, axis.router_compiled_ms, axis.router_speedup
-    );
-
-    // 3c. The parallel-delivery threads axis: the fault sweep (one
+    // 3b. The parallel-delivery threads axis: the fault sweep (one
     //     fresh fault-injected router per (class, rate) point) fanned
     //     across worker threads via `npr_sim::scatter`. Before any
     //     wall-clock number is published, every thread count's curves
@@ -340,56 +280,6 @@ fn main() {
     json.push_str(&format!(
         "  \"differential_check\": {{ \"lock_step_ops\": {diff_ops}, \"ok\": true }},\n"
     ));
-    json.push_str("  \"vrp_backend\": {\n");
-    json.push_str(&format!(
-        "    \"differential_programs\": {vrp_progs},\n"
-    ));
-    json.push_str(&format!(
-        "    \"corpus_execs_per_iter\": {},\n",
-        axis.execs_per_iter
-    ));
-    json.push_str(&format!("    \"iters\": {},\n", axis.iters));
-    json.push_str(&format!(
-        "    \"interp_execs_per_sec\": {},\n",
-        axis.interp_pps.round()
-    ));
-    json.push_str(&format!(
-        "    \"compiled_execs_per_sec\": {},\n",
-        axis.compiled_pps.round()
-    ));
-    json.push_str(&format!("    \"speedup\": {:.3},\n", axis.speedup));
-    json.push_str("    \"heavy\": {\n");
-    for (i, s) in axis.heavy.iter().enumerate() {
-        let comma = if i + 1 < axis.heavy.len() { "," } else { "" };
-        json.push_str(&format!(
-            "      \"{}\": {{ \"insns_per_iter\": {}, \
-             \"interp_insns_per_sec\": {}, \"compiled_insns_per_sec\": {}, \
-             \"speedup\": {:.3} }}{comma}\n",
-            s.kind,
-            s.insns_per_iter,
-            s.interp_ips.round(),
-            s.compiled_ips.round(),
-            s.speedup
-        ));
-    }
-    json.push_str("    },\n");
-    json.push_str(&format!(
-        "    \"heavy_speedup\": {:.3},\n",
-        axis.heavy_speedup
-    ));
-    json.push_str(&format!(
-        "    \"router_interp_wall_ms\": {:.1},\n",
-        axis.router_interp_ms
-    ));
-    json.push_str(&format!(
-        "    \"router_compiled_wall_ms\": {:.1},\n",
-        axis.router_compiled_ms
-    ));
-    json.push_str(&format!(
-        "    \"router_speedup\": {:.3}\n",
-        axis.router_speedup
-    ));
-    json.push_str("  },\n");
     json.push_str("  \"parallel\": {\n");
     json.push_str(&format!("    \"host_cores\": {host_cores},\n"));
     json.push_str("    \"fault_sweep\": {\n");

@@ -12,7 +12,6 @@
 //! ```
 
 pub mod exp_ablations;
-pub mod exp_backend;
 pub mod exp_baseline;
 pub mod exp_control;
 pub mod exp_fabric;
@@ -25,7 +24,6 @@ pub mod exp_route;
 pub mod exp_tables;
 pub mod fmt;
 
-pub use exp_backend::{backend_axis, BackendAxis};
 pub use exp_baseline::{baseline, BaselineResult};
 pub use exp_control::{control_json, control_storm, ControlResult};
 pub use exp_fabric::{

@@ -136,15 +136,6 @@ pub struct RouterConfig {
     /// Check the conservation ledger each epoch. Off by default: the
     /// ledger is only meaningful on runs that never call `mark()`.
     pub health_check_conservation: bool,
-    /// Execution tier for installed ME bytecode. `Compiled` (default)
-    /// lowers each forwarder at admission time into npr-vrp's
-    /// direct-threaded chain; `Interp` keeps the reference interpreter.
-    /// The tiers are bit-identical in simulated behavior (gated by the
-    /// backend differential suite), so this knob only moves host
-    /// wall-clock. Programs that fail verification — e.g. ISTORE
-    /// bit-rot injected by tests — always fall back to the interpreter,
-    /// which is what surfaces their traps.
-    pub vrp_backend: npr_vrp::VrpBackend,
     /// Worker threads for the conservative parallel delivery engine
     /// (`npr_sim::delivery`). `1` (default) is the lock-step sequential
     /// oracle; `0` means use the host's available parallelism; larger
@@ -228,7 +219,6 @@ impl Default for RouterConfig {
             health_overrun_factor: 1.5,
             health_trap_threshold: 8,
             health_check_conservation: false,
-            vrp_backend: npr_vrp::VrpBackend::Compiled,
             sim_threads: 1,
             qm_flows_per_port: 0,
             qm_flow_cap: 32,

@@ -76,11 +76,7 @@ impl Router {
                 let slots = prog.istore_slots();
                 let id = self.istore.install(slots).map_err(AdmitError::IStore)?;
                 let state_bytes = usize::from(prog.state_bytes);
-                // Compile-on-verify: admission just proved the program
-                // sound, so lower it for the configured backend now —
-                // once per install, never per packet.
-                let exec = npr_vrp::Executable::new(prog, self.cfg.vrp_backend);
-                self.world.me_forwarders.push(MeForwarder { exec, cost });
+                self.world.me_forwarders.push(MeForwarder { prog, cost });
                 (
                     WhereRun::Me,
                     (self.world.me_forwarders.len() - 1) as u32,
@@ -157,7 +153,7 @@ impl Router {
         let mut slots = 0;
         if let Some(id) = rec.istore_id {
             slots = self.world.me_forwarders[rec.fwdr_index as usize]
-                .prog()
+                .prog
                 .istore_slots();
             let _ = self.istore.remove(id);
         }
@@ -175,7 +171,7 @@ impl Router {
                 let (name, istore_slots) = match rec.where_run {
                     WhereRun::Me => {
                         let f = &self.world.me_forwarders[rec.fwdr_index as usize];
-                        (f.prog().name.clone(), f.prog().istore_slots())
+                        (f.prog.name.clone(), f.prog.istore_slots())
                     }
                     WhereRun::Sa => (self.sa.forwarders[rec.fwdr_index as usize].name.clone(), 0),
                     WhereRun::Pe => (self.pe.forwarders[rec.fwdr_index as usize].name.clone(), 0),

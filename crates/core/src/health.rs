@@ -336,7 +336,7 @@ impl Router {
             let rec = &self.installs[&fid];
             let slots = if rec.where_run == WhereRun::Me {
                 self.world.me_forwarders[rec.fwdr_index as usize]
-                    .prog()
+                    .prog
                     .istore_slots()
             } else {
                 0

@@ -321,10 +321,7 @@ impl InputLoop {
                 (None, None) => None,
             };
 
-            // --- Synthetic VRP padding (Figure 9/10 harness). Pads
-            // bypass admission, so the compiled tier never applies:
-            // they stay on the interpreter, whose dynamic checks are
-            // what surfaces their traps. ---
+            // --- Synthetic VRP padding (Figure 9/10 harness). ---
             if let Some((prog, state)) = w.vrp_pad.as_mut() {
                 match npr_vrp::run(prog, &mut mp.data, state) {
                     Ok(r) => {
@@ -351,14 +348,9 @@ impl InputLoop {
             for e in to_run {
                 match e.where_run {
                     WhereRun::Me => {
-                        // Dispatch through the installed Executable:
-                        // the compiled chain when admission lowered
-                        // one, the interpreter otherwise. Either way
-                        // the RunResult — and so the simulated clock —
-                        // is bit-identical.
-                        let exec = &w.me_forwarders[e.fwdr_index as usize].exec;
+                        let prog = &w.me_forwarders[e.fwdr_index as usize].prog;
                         let state = &mut w.flow_state[e.state_idx as usize];
-                        match exec.run(&mut mp.data, state) {
+                        match npr_vrp::run(prog, &mut mp.data, state) {
                             Ok(r) => {
                                 self.vrp_cycles += r.cycles;
                                 self.vrp_sram_left += r.sram_reads + r.sram_writes;
@@ -498,9 +490,9 @@ impl InputLoop {
                     let gen: Vec<_> = w.classifier.general_entries().copied().collect();
                     for e in gen {
                         if e.where_run == WhereRun::Me {
-                            let exec = &w.me_forwarders[e.fwdr_index as usize].exec;
+                            let prog = &w.me_forwarders[e.fwdr_index as usize].prog;
                             let state = &mut w.flow_state[e.state_idx as usize];
-                            match exec.run(&mut mp.data, state) {
+                            match npr_vrp::run(prog, &mut mp.data, state) {
                                 Ok(r) => {
                                     self.vrp_cycles += r.cycles;
                                     self.vrp_sram_left += r.sram_reads + r.sram_writes;

@@ -293,23 +293,30 @@ impl Router {
         h
     }
 
+    /// Whether the router has quiesced: every admitted packet has
+    /// reached a terminal fate (nothing visibly in flight and the
+    /// conservation identity balances) and no received MP still waits
+    /// in a port buffer — a frame there is in no ledger term yet, so
+    /// the identity balances without it.
+    pub fn quiet(&self) -> bool {
+        let c = self.conservation();
+        c.in_flight == 0 && c.holds() && self.ixp.hw.ports.iter().all(|p| p.rx_buf.is_empty())
+    }
+
     /// Quiescence watchdog: after traffic ends, runs the router in
-    /// `slice`-long steps until every admitted packet has reached a
-    /// terminal fate (nothing visibly in flight and the conservation
-    /// identity balances), giving up after `max_slices`. Returning
-    /// `false` is a loud signal of a silent deadlock or livelock —
-    /// some packet is stuck and no counter will ever claim it.
+    /// `slice`-long steps until it is [`quiet`](Self::quiet), giving up
+    /// after `max_slices`. Returning `false` is a loud signal of a
+    /// silent deadlock or livelock — some packet is stuck and no
+    /// counter will ever claim it.
     pub fn drain(&mut self, slice: Time, max_slices: usize) -> bool {
         for _ in 0..max_slices {
-            let c = self.conservation();
-            if c.in_flight == 0 && c.holds() {
+            if self.quiet() {
                 return true;
             }
             let t = self.now() + slice;
             self.run_until(t);
         }
-        let c = self.conservation();
-        c.in_flight == 0 && c.holds()
+        self.quiet()
     }
 
     /// Marks the start of a measurement window.

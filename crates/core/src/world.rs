@@ -63,24 +63,16 @@ pub struct PktMeta {
     pub arrival: Time,
 }
 
-/// A MicroEngine-installed forwarder: verified bytecode, lowered for
-/// the configured execution backend at admission time.
+/// A MicroEngine-installed forwarder: verified bytecode, run per MP by
+/// the reference interpreter ([`npr_vrp::run`]).
 #[derive(Debug)]
 pub struct MeForwarder {
-    /// The program plus its compiled form (when the backend knob asked
-    /// for one and the program verified). Both tiers are bit-identical
-    /// in simulated behavior; unverifiable programs — ISTORE bit-rot —
-    /// run through the interpreter and surface their traps as before.
-    pub exec: npr_vrp::Executable,
+    /// The installed program. Admission verified it; if it is later
+    /// corrupted in place (ISTORE bit-rot) the interpreter's dynamic
+    /// checks surface the damage as traps.
+    pub prog: VrpProgram,
     /// Its verified static cost.
     pub cost: VrpCost,
-}
-
-impl MeForwarder {
-    /// The installed program.
-    pub fn prog(&self) -> &VrpProgram {
-        self.exec.prog()
-    }
 }
 
 /// Destination of an escalated packet.

@@ -207,3 +207,29 @@ fn no_route_packets_are_counted_once() {
     assert!(c.no_route_drops > 0, "expected no-route drops: {c:?}");
     assert_eq!(c.transmitted, 0, "{c:?}");
 }
+
+/// `drain` must not report quiescence while a received frame still
+/// waits in a port buffer: that frame is in no ledger term yet, so the
+/// conservation identity balances without it. Stop the clock the moment
+/// a frame lands in `rx_buf`, drain, and require that one more slice
+/// admits nothing new.
+#[test]
+fn drain_waits_for_frames_still_in_the_port_buffer() {
+    let mut r = Router::new(RouterConfig::line_rate());
+    r.attach_cbr(0, 0.5, 1, 2);
+    let mut t = 0;
+    while r.ixp.hw.ports[0].rx_buf.is_empty() {
+        assert!(t < ms(1), "the frame never reached the port buffer");
+        t += 1_000;
+        r.run_until(t);
+    }
+    assert!(r.drain(us(20), 100), "failed to quiesce");
+    let admitted = r.conservation().admitted;
+    r.run_until(r.now() + us(20));
+    assert_eq!(
+        r.conservation().admitted,
+        admitted,
+        "drain returned with a received frame not yet admitted"
+    );
+    assert_eq!(admitted, 1);
+}

@@ -17,7 +17,6 @@
 use npr_core::{ms, us, FlowKey, Key, Router, RouterConfig};
 use npr_forwarders::slow::route_updater_pe;
 use npr_traffic::{udp_frame, CbrSource, FrameSpec, MixSource, TraceSource};
-use npr_vrp::VrpBackend;
 
 /// FNV-1a, 64-bit: digests must be stable across runs, processes, and
 /// build profiles, so only integers and fixed strings are fed in.
@@ -42,18 +41,15 @@ impl Digest {
 /// traced control stream installing routes via the Pentium on the
 /// eighth. Returns the digest over every deterministic observable,
 /// plus the measurement [`Report`] (compared whole in the repeat-run
-/// test). Parameterized by the VRP execution backend, which must never
-/// move the digest — the tiers are required to be bit-identical in
-/// simulated behavior.
+/// test).
 ///
 /// Health invariants for the thread matrix are asserted inline: the
 /// monitor samples (`epochs > 0`) but never intervenes on this
 /// fault-free run (`sa_resets == quarantines == 0`), on whichever
 /// thread the scenario happens to execute.
-fn run_scenario(backend: VrpBackend) -> (u64, npr_core::Report) {
+fn run_scenario() -> (u64, npr_core::Report) {
     let mut cfg = RouterConfig::line_rate();
     cfg.divert_sa_permille = 333;
-    cfg.vrp_backend = backend;
     let mut router = Router::new(cfg);
 
     let ctl_key = FlowKey {
@@ -186,8 +182,8 @@ const GOLDEN_DIGEST: u64 = 0x4D47_0BA7_B68A_1105;
 
 #[test]
 fn robust_router_scenario_is_bit_identical_across_runs() {
-    let (da, ra) = run_scenario(VrpBackend::Compiled);
-    let (db, rb) = run_scenario(VrpBackend::Compiled);
+    let (da, ra) = run_scenario();
+    let (db, rb) = run_scenario();
     assert_eq!(
         da, db,
         "two identical runs diverged: the scheduler is nondeterministic"
@@ -200,22 +196,11 @@ fn robust_router_scenario_is_bit_identical_across_runs() {
 
 #[test]
 fn robust_router_scenario_matches_pinned_digest() {
-    let (got, _) = run_scenario(VrpBackend::Compiled);
+    let (got, _) = run_scenario();
     assert_eq!(
         got, GOLDEN_DIGEST,
         "schedule changed: digest {got:#018X} != pinned {GOLDEN_DIGEST:#018X} \
          (see module docs before re-pinning)"
-    );
-}
-
-#[test]
-fn interpreter_backend_matches_the_same_pinned_digest() {
-    // The backend knob must be invisible to the simulated schedule:
-    // both execution tiers reproduce the same golden digest.
-    let (got, _) = run_scenario(VrpBackend::Interp);
-    assert_eq!(
-        got, GOLDEN_DIGEST,
-        "interpreter backend moved the schedule: {got:#018X}"
     );
 }
 
@@ -232,21 +217,14 @@ const THREAD_MATRIX: &[usize] = if cfg!(debug_assertions) {
 fn golden_digest_holds_at_every_thread_count() {
     // One scenario copy per worker slot of an `npr_sim::scatter`
     // fan-out: at threads=8, eight copies run concurrently on spawned
-    // OS threads, alternating VRP backends, and every one must land on
+    // OS threads, and every one must land on
     // the pinned digest. The health invariants (monitor sampled,
     // never intervened) are asserted inside `run_scenario`, so they
     // are exercised per-thread-count too. This is the sweep-level
     // parallelism axis; the fabric-level axis (shared lockstep clock)
     // is pinned by `tests/parallel_differential.rs`.
     for &threads in THREAD_MATRIX {
-        let digests = npr_sim::scatter(threads, threads, |i| {
-            let backend = if i % 2 == 0 {
-                VrpBackend::Compiled
-            } else {
-                VrpBackend::Interp
-            };
-            run_scenario(backend).0
-        });
+        let digests = npr_sim::scatter(threads, threads, |_| run_scenario().0);
         for (i, d) in digests.iter().enumerate() {
             assert_eq!(
                 *d, GOLDEN_DIGEST,

@@ -114,11 +114,12 @@ fn me_trap_storm_quarantines_the_forwarder() {
         .unwrap();
     // Simulate post-verification corruption: the installed program rots
     // in the ISTORE into one the verifier would never have admitted.
-    // The Executable refuses to compile it, so execution falls back to
-    // the interpreter — whose dynamic checks surface the traps.
-    let rotted = npr_vrp::Executable::new(rotted(), r.cfg.vrp_backend);
-    assert!(!rotted.is_compiled(), "unverifiable program must not compile");
-    r.world.me_forwarders[0].exec = rotted;
+    // The interpreter's dynamic checks surface the traps.
+    assert!(
+        npr_vrp::analyze(&rotted()).is_err(),
+        "rot must be unverifiable"
+    );
+    r.world.me_forwarders[0].prog = rotted();
     r.attach_cbr(0, 0.9, 300, 1);
     r.run_until(ms(4));
     settle(&mut r);
@@ -175,49 +176,39 @@ fn wedge_reset_replays_installs_down_the_control_path() {
 }
 
 #[test]
-fn compiled_forwarder_at_declared_cost_is_never_policed() {
-    // Regression pin for the compiled VRP backend: overrun policing
-    // measures *simulated* attempted cycles, and the compiled tier
-    // reports bit-identical dynamic cost to the interpreter — so a
-    // well-behaved forwarder must climb no rung of the escalation
-    // ladder no matter which tier executes it, and must never trap.
-    for backend in [npr_vrp::VrpBackend::Interp, npr_vrp::VrpBackend::Compiled] {
-        let mut cfg = RouterConfig::line_rate();
-        cfg.divert_sa_permille = 200;
-        cfg.vrp_backend = backend;
-        let mut r = Router::new(cfg);
-        r.install(
-            Key::All,
-            InstallRequest::Me {
-                prog: npr_forwarders::syn_monitor().unwrap(),
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(
-            r.world.me_forwarders[0].exec.is_compiled(),
-            backend == npr_vrp::VrpBackend::Compiled
-        );
-        // An SA forwarder running exactly at its declared cost rides
-        // along: dynamic policing must stay quiet for it too.
-        r.install(Key::All, full_ip_sa(), None).unwrap();
-        r.attach_cbr(0, 0.9, 300, 1);
-        r.run_until(ms(3));
-        settle(&mut r);
-        let s = r.health.stats;
-        assert!(s.epochs > 0, "monitor never sampled [{backend}]");
-        assert_eq!(s.warnings, 0, "[{backend}] {s:?}");
-        assert_eq!(s.throttles, 0, "[{backend}] {s:?}");
-        assert_eq!(s.quarantines, 0, "[{backend}] {s:?}");
-        assert!(r.health.quarantined.is_empty(), "[{backend}]");
-        assert_eq!(
-            r.world.counters.vrp_traps.total(),
-            0,
-            "verified program trapped [{backend}]"
-        );
-        let tx: u64 = (0..8).map(|p| r.ixp.hw.ports[p].tx_frames).sum();
-        assert!(tx > 0, "no traffic moved [{backend}]");
-    }
+fn forwarders_at_declared_cost_are_never_policed() {
+    // Overrun policing measures *simulated* attempted cycles, so a
+    // verified ME forwarder and an SA forwarder running exactly at its
+    // declared cost must climb no rung of the escalation ladder, and
+    // the ME program must never trap.
+    let mut cfg = RouterConfig::line_rate();
+    cfg.divert_sa_permille = 200;
+    let mut r = Router::new(cfg);
+    r.install(
+        Key::All,
+        InstallRequest::Me {
+            prog: npr_forwarders::syn_monitor().unwrap(),
+        },
+        None,
+    )
+    .unwrap();
+    r.install(Key::All, full_ip_sa(), None).unwrap();
+    r.attach_cbr(0, 0.9, 300, 1);
+    r.run_until(ms(3));
+    settle(&mut r);
+    let s = r.health.stats;
+    assert!(s.epochs > 0, "monitor never sampled");
+    assert_eq!(s.warnings, 0, "{s:?}");
+    assert_eq!(s.throttles, 0, "{s:?}");
+    assert_eq!(s.quarantines, 0, "{s:?}");
+    assert!(r.health.quarantined.is_empty());
+    assert_eq!(
+        r.world.counters.vrp_traps.total(),
+        0,
+        "verified program trapped"
+    );
+    let tx: u64 = (0..8).map(|p| r.ixp.hw.ports[p].tx_frames).sum();
+    assert!(tx > 0, "no traffic moved");
 }
 
 #[test]

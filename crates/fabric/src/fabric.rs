@@ -1,22 +1,16 @@
 //! The fabric proper: N member routers wired by a [`Topology`], with
-//! inter-chassis links as modeled servers and two stepping modes.
+//! inter-chassis links as modeled servers and one driver.
 //!
 //! Each member is a full [`Router`] whose gigabit ports `8..8+u` are
 //! the internal uplinks, wrapped in a [`MemberShard`] — the unit of
-//! parallelism for `npr_sim::delivery`. Two stepping modes exist:
-//!
-//! * [`Fabric::run_until`] — the legacy coarse-epoch mode: members
-//!   advance in long lock-step slices (default 100 µs) and uplink
-//!   frames switch at each boundary, relying on the port primer's
-//!   past-timestamp clamp. Kept bit-for-bit as-is for the experiments
-//!   that baselined on it.
-//! * [`Fabric::run_lockstep`] — the conservative parallel mode: the
-//!   epoch grid is the link latency (the minimum cross-chassis
-//!   latency, hence a safe lookahead), members advance concurrently
-//!   under a chosen thread count, and cross-shard frames are merged
-//!   deterministically on `(arrival, source, emission)` so every
-//!   thread count is bit-identical to the single-threaded oracle
-//!   (DESIGN.md §13).
+//! parallelism for `npr_sim::delivery`. [`Fabric::run_lockstep`] is
+//! the only way to step the fabric: the epoch grid is the link latency
+//! (the minimum cross-chassis latency, hence a safe lookahead), members
+//! advance concurrently under a chosen thread count, and cross-shard
+//! frames are merged deterministically on `(arrival, source,
+//! emission)` so every thread count is bit-identical to the
+//! single-threaded oracle (DESIGN.md §13). The thread count picks a
+//! `Delivery` strategy; the dispatcher is the same for all of them.
 //!
 //! Frames delivered to a member are tagged with the member's current
 //! *generation*; [`Fabric::rejoin_chassis`] bumps it, so anything
@@ -28,7 +22,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use npr_core::{ms, Router, RouterConfig};
+use npr_core::{Router, RouterConfig};
 use npr_ixp::TrafficSource;
 use npr_packet::{EthernetFrame, Frame, Ipv4Header, MacAddr, Mp};
 use npr_route::NextHop;
@@ -126,8 +120,7 @@ impl MemberShard {
     /// frames, routes them per-wire, and carries them across the link
     /// model: returns `(dest, dest_port_ix, arrival, frame)` for every
     /// switchable frame, counting unroutable ones as switch drops and
-    /// down-link ones in the link's own ledger. The single switching
-    /// implementation shared by both stepping modes.
+    /// down-link ones in the link's own ledger.
     /// `now` drives the reassembly age-out: an entry untouched for
     /// `reassembly_age_ps` is abandoned and counted, so a frame whose
     /// closing MP never arrives (a corrupted position tag carried
@@ -504,54 +497,6 @@ impl Fabric {
     /// Member `k`'s link on fabric port `ix` (stats, up/down state).
     pub fn link(&self, k: usize, ix: usize) -> &Link {
         &self.shards[k].ports[ix].link
-    }
-
-    /// Runs the whole fabric until `t`, stepping members in `epoch`-long
-    /// slices and switching uplink traffic at each boundary. The epoch
-    /// bounds the inter-chassis latency error; 0 defaults to 100 us.
-    ///
-    /// This is the legacy coarse-epoch mode: an epoch may far exceed
-    /// the real link latency, so a frame's arrival stamp can lie in
-    /// the receiving member's past — the port primer clamps it to "now"
-    /// on injection. Sequential by construction; retained bit-for-bit
-    /// for the experiments baselined on it. [`Fabric::run_lockstep`] is
-    /// the latency-accurate (and parallelizable) mode.
-    pub fn run_until(&mut self, t: Time, epoch: Time) {
-        let epoch = if epoch == 0 { ms(1) / 10 } else { epoch };
-        while self.clock < t {
-            self.clock = (self.clock + epoch).min(t);
-            for s in &mut self.shards {
-                s.router.run_until(self.clock);
-            }
-            self.switch_frames();
-        }
-    }
-
-    /// Drains captured uplink MPs, reassembles frames, and injects them
-    /// into their destination members (legacy-mode boundary switching;
-    /// iteration order — member, then capture order — is part of the
-    /// preserved behavior).
-    fn switch_frames(&mut self) {
-        let n = self.shards.len();
-        let now = self.clock;
-        for k in 0..n {
-            for (dest, ix, at, frame) in self.shards[k].collect_switched(now) {
-                self.shards[dest].enqueue(ix, at, frame);
-            }
-        }
-        for k in 0..n {
-            for ix in 0..self.shards[k].ports.len() {
-                let nonempty = !self.shards[k].ports[ix]
-                    .inbox
-                    .lock()
-                    .expect("uplink queue poisoned")
-                    .is_empty();
-                if nonempty {
-                    let port = self.shards[k].ports[ix].port;
-                    self.shards[k].router.poke_port(port);
-                }
-            }
-        }
     }
 
     /// Runs the whole fabric until `t` under the conservative parallel

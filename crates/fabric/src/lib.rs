@@ -22,10 +22,10 @@
 //! [`Fabric::conservation`] asserts end-to-end packet conservation
 //! across the whole cluster.
 //!
-//! Stepping: [`Fabric::run_until`] is the legacy coarse-epoch mode;
-//! [`Fabric::run_lockstep`] shards by chassis on the conservative
-//! parallel engine (`npr_sim::delivery`) with the link latency as
-//! lookahead — bit-identical at every thread count.
+//! Stepping: [`Fabric::run_lockstep`] is the one driver. It shards by
+//! chassis on the conservative parallel engine (`npr_sim::delivery`)
+//! with the link latency as lookahead — bit-identical at every thread
+//! count.
 //!
 //! # Quick start
 //!

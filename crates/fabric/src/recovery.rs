@@ -72,17 +72,14 @@ impl Fabric {
         self.chassis_quiet(m)
     }
 
-    /// Whether member `m` is fabric-quiet: every admitted packet has
-    /// reached a terminal fate (the same condition [`Router::drain`]
-    /// requires — `in_flight == 0` alone would miss a packet held by
-    /// the output loop, e.g. waiting out a port flap), nothing queued
-    /// on its fabric inboxes, no partial reassembly of its outbound
-    /// frames.
+    /// Whether member `m` is fabric-quiet: its router is
+    /// [`quiet`](Router::quiet) (every admitted packet reached a
+    /// terminal fate and no received frame waits in a port buffer —
+    /// the condition [`Router::drain`] requires), nothing is queued on
+    /// its fabric inboxes, and no outbound frame awaits reassembly.
     pub fn chassis_quiet(&self, m: usize) -> bool {
         let s = &self.shards[m];
-        let c = s.router.conservation();
-        c.in_flight == 0
-            && c.holds()
+        s.router.quiet()
             && s.ports
                 .iter()
                 .all(|p| p.inbox.lock().expect("uplink queue poisoned").is_empty())

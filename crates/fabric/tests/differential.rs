@@ -1,15 +1,13 @@
-//! Refactor differential: the single-switch topology must be
-//! *bit-identical* to the pre-refactor `npr_core::Fabric`.
+//! Fabric differential: pinned fingerprints of the lock-step driver,
+//! then the topology semantics every wiring must honour.
 //!
-//! The fingerprints pinned here were captured by running the canonical
-//! scenarios against the pre-refactor implementation (same build mode
-//! independence verified: debug and release produce identical values).
-//! Any divergence — route programming order, switch iteration order,
-//! arrival arithmetic, fingerprint fold — trips a pin.
+//! The fingerprints pinned here are build-mode independent (debug and
+//! release produce identical values). Any divergence — route
+//! programming order, switch iteration order, arrival arithmetic,
+//! fingerprint fold, epoch grid — trips a pin.
 //!
-//! The second half migrates the pre-refactor unit suite wholesale (same
-//! scenarios, same exact expected counts), then adds the topology
-//! coverage the old sketch lacked: ring and spine/leaf cross-traffic,
+//! The second half is the single-switch unit suite (exact expected
+//! counts), then the ring and spine/leaf coverage: cross-traffic,
 //! multi-hop transit, link serialization visible under contention.
 
 use npr_core::{ms, us, RouterConfig};
@@ -32,35 +30,8 @@ fn cbr(dst_net: u8, frac: f64, frames: u64) -> Box<CbrSource> {
 }
 
 // ---------------------------------------------------------------------
-// Pre-refactor pins (captured from the old npr_core::Fabric).
+// Lock-step pins.
 // ---------------------------------------------------------------------
-
-#[test]
-fn pin_legacy_two_member_cross_traffic() {
-    let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
-    f.member_mut(0).attach_source(0, cbr(9, 0.5, 200));
-    f.run_until(ms(40), 0);
-    assert_eq!(f.switched(), 200);
-    assert_eq!(f.member(1).ixp.hw.ports[1].tx_frames, 200);
-    assert_eq!(
-        f.fingerprint(),
-        0xe20bb37a95577c7c,
-        "single-switch legacy mode diverged from the pre-refactor Fabric"
-    );
-}
-
-#[test]
-fn pin_legacy_four_member_bidirectional() {
-    let mut f = Fabric::single_switch(4, RouterConfig::line_rate());
-    for k in 0..4usize {
-        let dst_net = (((k + 1) % 4) * 8) as u8;
-        f.member_mut(k).attach_source(0, cbr(dst_net, 0.9, 300));
-    }
-    f.run_until(ms(40), 0);
-    assert_eq!(f.switched(), 1200);
-    assert_eq!(f.external_tx(), 1200);
-    assert_eq!(f.fingerprint(), 0x984ade6dee0bd465);
-}
 
 #[test]
 fn pin_lockstep_three_member_ring_traffic() {
@@ -157,14 +128,14 @@ fn pin_lockstep_compound_faults() {
 }
 
 // ---------------------------------------------------------------------
-// Migrated pre-refactor unit suite (same scenarios, same counts).
+// Single-switch unit suite.
 // ---------------------------------------------------------------------
 
 #[test]
 fn cross_chassis_forwarding_works() {
     let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
     f.member_mut(0).attach_source(0, cbr(9, 0.5, 200));
-    f.run_until(ms(40), 0);
+    f.run_lockstep(ms(40), 1);
     assert_eq!(f.switched(), 200, "all frames crossed the switch");
     assert_eq!(
         f.member(1).ixp.hw.ports[1].tx_frames, 200,
@@ -177,7 +148,7 @@ fn cross_chassis_forwarding_works() {
 fn local_traffic_never_touches_the_switch() {
     let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
     f.member_mut(0).attach_source(0, cbr(3, 0.5, 100));
-    f.run_until(ms(20), 0);
+    f.run_lockstep(ms(20), 1);
     assert_eq!(f.switched(), 0);
     assert_eq!(f.member(0).ixp.hw.ports[3].tx_frames, 100);
 }
@@ -192,7 +163,7 @@ fn uplink_saturation_drops_visibly_not_silently() {
         f.member_mut(0)
             .attach_source(p, cbr(8 + p as u8, 0.95, 2_000));
     }
-    f.run_until(ms(60), 0);
+    f.run_lockstep(ms(60), 1);
     let delivered = f.external_tx();
     let drops = f.total_drops();
     assert!(delivered > 0);
@@ -205,10 +176,10 @@ fn uplink_saturation_drops_visibly_not_silently() {
 
 #[test]
 fn multi_mp_frames_straddling_an_epoch_boundary_reassemble() {
-    // Large frames segment into many 64-byte MPs on the uplink; a tiny
-    // epoch all but guarantees some frames are mid-flight at a
-    // boundary. The switch must hold their MPs across the boundary and
-    // still deliver every frame intact.
+    // Large frames segment into many 64-byte MPs on the uplink; slicing
+    // the run every 2 us all but guarantees some frames are mid-flight
+    // at a slice end. The switch must hold their MPs across the
+    // boundary and still deliver every frame intact.
     let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
     f.member_mut(0).attach_source(
         0,
@@ -223,15 +194,17 @@ fn multi_mp_frames_straddling_an_epoch_boundary_reassemble() {
             40,
         )),
     );
-    let epoch = us(2);
     let mut saw_partial = false;
     let mut t = 0;
     while t < ms(8) {
-        t += epoch;
-        f.run_until(t, epoch);
+        t += us(2);
+        f.run_lockstep(t, 1);
         saw_partial |= f.pending_uplink_mps(0) > 0;
     }
-    assert!(saw_partial, "2 us epochs should catch a frame mid-reassembly");
+    assert!(
+        saw_partial,
+        "2 us slices should catch a frame mid-reassembly"
+    );
     assert_eq!(f.pending_uplink_mps(0), 0, "no MPs stranded at the end");
     assert_eq!(f.switched(), 40, "every frame crossed the switch");
     assert_eq!(f.member(1).ixp.hw.ports[1].tx_frames, 40);
@@ -253,7 +226,7 @@ fn unroutable_subnets_count_one_switch_drop_per_frame() {
         },
     );
     f.member_mut(0).attach_source(0, cbr(200, 0.5, 3));
-    f.run_until(ms(20), 0);
+    f.run_lockstep(ms(20), 1);
     assert_eq!(f.switch_drops(), 3, "one drop per unroutable frame");
     assert_eq!(f.switched(), 0);
     assert_eq!(f.external_tx(), 0, "nothing was delivered");
@@ -266,7 +239,7 @@ fn bidirectional_cross_traffic_is_lossless() {
         let dst_net = (((k + 1) % 4) * 8) as u8;
         f.member_mut(k).attach_source(0, cbr(dst_net, 0.9, 300));
     }
-    f.run_until(ms(40), 0);
+    f.run_lockstep(ms(40), 1);
     assert_eq!(f.switched(), 1200);
     assert_eq!(f.external_tx(), 1200);
     assert_eq!(f.total_drops(), 0);
@@ -375,7 +348,7 @@ fn spine_leaf_spreads_subnets_across_spines() {
 }
 
 #[test]
-fn legacy_epoch_mode_works_on_all_topologies() {
+fn cross_traffic_is_lossless_on_all_topologies() {
     for cfg in [
         FabricConfig::single_switch(3, RouterConfig::line_rate()),
         FabricConfig::ring(3, RouterConfig::line_rate()),
@@ -387,7 +360,7 @@ fn legacy_epoch_mode_works_on_all_topologies() {
             let dst_net = (((k + 1) % 3) * 8) as u8;
             f.member_mut(k).attach_source(0, cbr(dst_net, 0.5, 50));
         }
-        f.run_until(ms(20), 0);
+        f.run_lockstep(ms(20), 1);
         assert_eq!(f.switched(), 150, "{name}");
         assert_eq!(f.external_tx(), 150, "{name}");
         assert_conserves(&f);

@@ -304,15 +304,19 @@ fn drain_resteers_neighbors_and_rejoin_replays_provisioning() {
 
 #[test]
 fn rejoin_fences_stale_generation_frames() {
-    // Legacy-mode boundary switching leaves the final epoch's frames
-    // queued in the victim's fabric inboxes (pulled lazily by its rx
-    // path). A re-join must fence them: counted, never delivered to the
-    // new incarnation.
+    // Frames switched in the final epoch arrive past the horizon, so
+    // they wait in the victim's fabric inboxes (pulled lazily by its
+    // rx path). A re-join must fence them: counted, never delivered to
+    // the new incarnation. The barrier's port poke pulls at most one
+    // frame per inbox, so eight synchronized sources are used to leave
+    // more than one in flight at the horizon.
     let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
-    f.member_mut(0).attach_source(0, cbr(9, 0.5, 120));
-    f.run_until(ms(1), 0);
+    for p in 0..8 {
+        f.member_mut(0).attach_source(p, cbr(8 + p as u8, 0.5, 120));
+    }
+    f.run_lockstep(ms(1), 1);
     let stale = f.queued_frames();
-    assert!(stale > 0, "no frames left queued at the boundary");
+    assert!(stale > 0, "no frames left queued past the horizon");
     f.drain_chassis(1, us(100), 0);
     f.rejoin_chassis(1);
     assert_eq!(
@@ -328,4 +332,30 @@ fn rejoin_fences_stale_generation_frames() {
     let delivered = f.member(1).ixp.hw.ports[1].tx_frames;
     assert!(delivered > 0, "new incarnation received nothing");
     assert_conserves(&f);
+}
+
+#[test]
+fn drain_waits_for_frames_still_in_a_port_buffer() {
+    // A frame sitting in a member's port buffer is in no ledger term
+    // yet, so the conservation identity balances without it. Stop the
+    // clock the moment one lands in `rx_buf`; the drain must not call
+    // the fabric quiet until it has been admitted.
+    let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
+    f.member_mut(0).attach_source(0, cbr(9, 0.5, 1));
+    let mut t = 0;
+    while f.member(0).ixp.hw.ports[0].rx_buf.is_empty() {
+        assert!(t < ms(1), "the frame never reached the port buffer");
+        t += 1_000;
+        f.run_lockstep(t, 1);
+    }
+    assert!(f.drain(us(20), 100), "fabric failed to quiesce");
+    let admitted = |f: &Fabric| f.members().map(|r| r.conservation().admitted).sum::<u64>();
+    let before = admitted(&f);
+    f.run_lockstep(f.now() + us(20), 1);
+    assert_eq!(
+        admitted(&f),
+        before,
+        "drain returned with a received frame not yet admitted"
+    );
+    assert_eq!(before, 2, "admitted at the source member and the owner");
 }

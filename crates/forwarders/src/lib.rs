@@ -38,29 +38,22 @@ pub use table5::{
     wavelet_dropper, Table5Row,
 };
 
-/// Every builtin VRP program in the crate, lowered for `backend`: the
-/// six Table 5 rows, the DSCP tagger, and the MPLS label switcher.
+/// Every builtin VRP program in the crate: the six Table 5 rows, the
+/// DSCP tagger, and the MPLS label switcher.
 ///
-/// The differential suites and the benchmark's backend axis iterate
-/// this list, so a new builtin added here is automatically covered by
-/// the interpreter-vs-compiled oracle and by the wall-clock
-/// measurements. Assembly failures propagate as `Result`s, never
-/// panics.
-pub fn corpus(
-    backend: npr_vrp::VrpBackend,
-) -> Result<Vec<npr_vrp::Executable>, npr_vrp::AsmError> {
-    let mut out: Vec<npr_vrp::Executable> = table5()?
-        .into_iter()
-        .map(|row| npr_vrp::Executable::new(row.prog, backend))
-        .collect();
-    out.push(npr_vrp::Executable::new(dscp_tagger()?, backend));
-    out.push(npr_vrp::Executable::new(mpls_swap(), backend));
+/// The corpus sweep below iterates this list, so a new builtin added
+/// here is automatically held to its verified bound. Assembly failures
+/// propagate as `Result`s, never panics.
+pub fn corpus() -> Result<Vec<npr_vrp::VrpProgram>, npr_vrp::AsmError> {
+    let mut out: Vec<npr_vrp::VrpProgram> = table5()?.into_iter().map(|row| row.prog).collect();
+    out.push(dscp_tagger()?);
+    out.push(mpls_swap());
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
-    use npr_vrp::{verify, VrpBackend, VrpBudget};
+    use npr_vrp::{analyze, run, verify, VrpBudget};
 
     /// Assembly and verification are both fallible `Result`s now: a
     /// rejected builtin surfaces as a recoverable admission error the
@@ -76,8 +69,7 @@ mod tests {
         }
     }
 
-    /// Deterministic pseudo-random fill (xorshift64) so the lock-step
-    /// sweep below feeds both tiers identical garbage.
+    /// Deterministic pseudo-random fill (xorshift64) for the sweep below.
     fn fill(seed: u64, buf: &mut [u8]) {
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         for b in buf.iter_mut() {
@@ -88,41 +80,39 @@ mod tests {
         }
     }
 
-    /// The crate-level half of the differential oracle: every builtin
-    /// program, across random and shaped MPs, must produce bit-identical
-    /// results, MP bytes, and flow state through both backends.
+    /// Admission soundness on the real programs: every builtin, across
+    /// random and shaped MPs, runs without a trap and never costs more
+    /// than its static worst case.
     #[test]
-    fn builtin_corpus_is_backend_invariant() {
-        let interp = crate::corpus(VrpBackend::Interp).expect("builtins assemble");
-        let compiled = crate::corpus(VrpBackend::Compiled).expect("builtins assemble");
-        assert_eq!(interp.len(), compiled.len());
-        for (i, c) in interp.iter().zip(&compiled) {
-            assert!(!i.is_compiled(), "{} on the wrong tier", i.prog().name);
-            assert!(c.is_compiled(), "{} failed to lower", c.prog().name);
-            let sb = usize::from(i.prog().state_bytes);
+    fn builtin_corpus_runs_within_its_verified_bounds() {
+        for prog in crate::corpus().expect("builtins assemble") {
+            let cost = analyze(&prog).expect("builtins verify");
             for seed in 0..64u64 {
-                let mut mp_i = [0u8; 64];
-                fill(seed, &mut mp_i);
+                let mut mp = [0u8; 64];
+                fill(seed, &mut mp);
                 // Steer a share of the sweep down the real parse paths:
                 // IPv4/TCP for the Table 5 programs, MPLS for the
                 // label switcher.
                 match seed % 4 {
                     0 => {
-                        mp_i[12..14].copy_from_slice(&0x0800u16.to_be_bytes());
-                        mp_i[23] = 6;
+                        mp[12..14].copy_from_slice(&0x0800u16.to_be_bytes());
+                        mp[23] = 6;
                     }
-                    1 => mp_i[12..14].copy_from_slice(&0x8847u16.to_be_bytes()),
+                    1 => mp[12..14].copy_from_slice(&0x8847u16.to_be_bytes()),
                     _ => {}
                 }
-                let mut st_i = vec![0u8; sb];
-                fill(seed ^ 0xC0FF_EE, &mut st_i);
-                let mut mp_c = mp_i;
-                let mut st_c = st_i.clone();
-                let ri = i.run(&mut mp_i, &mut st_i);
-                let rc = c.run(&mut mp_c, &mut st_c);
-                assert_eq!(ri, rc, "{} seed {seed}", i.prog().name);
-                assert_eq!(mp_i, mp_c, "{} seed {seed}: MP diverged", i.prog().name);
-                assert_eq!(st_i, st_c, "{} seed {seed}: state diverged", i.prog().name);
+                let mut st = vec![0u8; usize::from(prog.state_bytes)];
+                fill(seed ^ 0xC0FF_EE, &mut st);
+                let r = run(&prog, &mut mp, &mut st)
+                    .unwrap_or_else(|e| panic!("{} seed {seed} trapped: {e:?}", prog.name));
+                assert!(r.cycles <= cost.worst_cycles, "{} seed {seed}", prog.name);
+                assert!(r.sram_reads <= cost.sram_reads, "{} seed {seed}", prog.name);
+                assert!(
+                    r.sram_writes <= cost.sram_writes,
+                    "{} seed {seed}",
+                    prog.name
+                );
+                assert!(r.hashes <= cost.hashes, "{} seed {seed}", prog.name);
             }
         }
     }

@@ -149,26 +149,28 @@ mod tests {
     }
 
     #[test]
-    fn label_swap_is_backend_invariant() {
+    fn every_label_path_runs_within_its_verified_bound() {
         // Every semantic path — table hit, miss, expiring TTL, and the
-        // non-MPLS early exit — must be bit-identical through the
-        // compile-on-verify tier, including the rewritten label stack
-        // entry and the untouched flow state.
-        let exec = npr_vrp::Executable::new(mpls_swap(), npr_vrp::VrpBackend::Compiled);
-        assert!(exec.is_compiled(), "mpls-swap must lower");
+        // non-MPLS early exit — runs without a trap and within the
+        // static cost admission charged for the program.
+        let cost = analyze(&mpls_swap()).unwrap();
         let mut state = [0u8; 32];
         encode_entry(&mut state, 0, 100, 777, 5);
         encode_entry(&mut state, 2, 42, 0xABCDE, 3);
         let mut ip = [0u8; 64];
         ip[12] = 0x08;
-        for mp in [mpls_mp(42, 64), mpls_mp(100, 2), mpls_mp(9999, 64), mpls_mp(42, 1), ip] {
-            let (mut mp_i, mut st_i) = (mp, state);
-            let (mut mp_c, mut st_c) = (mp, state);
-            let ri = run(&mpls_swap(), &mut mp_i, &mut st_i);
-            let rc = exec.run(&mut mp_c, &mut st_c);
-            assert_eq!(ri, rc);
-            assert_eq!(mp_i, mp_c, "MP diverged");
-            assert_eq!(st_i, st_c, "state diverged");
+        for mut mp in [
+            mpls_mp(42, 64),
+            mpls_mp(100, 2),
+            mpls_mp(9999, 64),
+            mpls_mp(42, 1),
+            ip,
+        ] {
+            let mut st = state;
+            let r = run(&mpls_swap(), &mut mp, &mut st).unwrap();
+            assert!(r.cycles <= cost.worst_cycles);
+            assert!(r.sram_reads <= cost.sram_reads);
+            assert_eq!(st, state, "the swap never writes flow state");
         }
     }
 

@@ -116,12 +116,9 @@ pub fn wavelet_controller_pe(expected_pps: u64) -> InstallRequest {
 /// pairs: the Table 5 data halves as general MicroEngine forwarders,
 /// paired with their Pentium control halves bound to the `ctl` flow.
 ///
-/// The ME halves are plain bytecode here; the *router* lowers them at
-/// admission for whichever execution tier `RouterConfig::vrp_backend`
-/// selects (interpreter or compiled chain), so this one suite is the
-/// forwarder-heavy shape the benchmark's backend axis measures — every
-/// data packet runs three real VRP programs end to end, while the
-/// control halves stay on the Pentium regardless of the knob.
+/// Every data packet runs three real VRP programs end to end, so this
+/// suite is the forwarder-heavy shape the host-speed benchmark's
+/// `services_churn` workload installs.
 pub fn service_suite(ctl: FlowKey) -> Result<Vec<(Key, InstallRequest)>, AsmError> {
     Ok(vec![
         (
@@ -223,34 +220,21 @@ mod tests {
     }
 
     #[test]
-    fn service_suite_installs_cleanly_on_both_tiers() {
-        use npr_vrp::VrpBackend;
+    fn service_suite_installs_cleanly() {
         let ctl = FlowKey {
             src: 0x0a00_0009,
             dst: 0x0a01_0001,
             sport: 2600,
             dport: 89,
         };
-        for backend in [VrpBackend::Interp, VrpBackend::Compiled] {
-            let mut cfg = npr_core::RouterConfig::line_rate();
-            cfg.vrp_backend = backend;
-            let mut r = npr_core::Router::new(cfg);
-            for (key, req) in service_suite(ctl).expect("suite assembles") {
-                r.install(key, req, None).expect("suite admitted");
-            }
-            assert_eq!(r.installed().len(), 5);
-            // Admission lowered each ME data half for the configured
-            // tier; the Pentium control halves are untouched by it.
-            assert_eq!(r.world.me_forwarders.len(), 3);
-            for f in &r.world.me_forwarders {
-                assert_eq!(
-                    f.exec.is_compiled(),
-                    backend == VrpBackend::Compiled,
-                    "{} on the wrong tier",
-                    f.prog().name
-                );
-            }
+        let mut r = npr_core::Router::new(npr_core::RouterConfig::line_rate());
+        for (key, req) in service_suite(ctl).expect("suite assembles") {
+            r.install(key, req, None).expect("suite admitted");
         }
+        assert_eq!(r.installed().len(), 5);
+        // The three ME data halves sit on the MicroEngines; the Pentium
+        // control halves do not.
+        assert_eq!(r.world.me_forwarders.len(), 3);
     }
 
     #[test]

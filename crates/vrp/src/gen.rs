@@ -1,16 +1,15 @@
 //! Deterministic random-program generators: the shared fuzz corpus.
 //!
-//! One seed, one program — the interpreter soundness property, the
-//! compiled-backend differential suite, and core's robustness tests all
-//! draw from the same generators so every property is checked over the
-//! same program population.
+//! One seed, one program — the interpreter soundness properties and the
+//! simulator benchmark draw from the same generators so every property
+//! is checked over the same program population.
 //!
 //! * [`random_program`] emits *structurally valid* programs through the
 //!   assembler (forward labels, in-range registers and offsets, a
 //!   terminal `Done`). These always pass [`crate::analyze`].
 //! * [`random_raw_program`] emits arbitrary raw instruction sequences —
 //!   out-of-range registers, wild branch targets, missing terminals —
-//!   for exercising dynamic-error and verifier-rejection parity.
+//!   for exercising dynamic errors and verifier rejection.
 
 use crate::asm::{Asm, Label};
 use crate::isa::{AluOp, Cond, Insn, Src, VrpProgram};
@@ -133,8 +132,8 @@ pub fn random_program(seed: u64) -> VrpProgram {
 /// Generates an arbitrary raw instruction sequence from `seed`. No
 /// structural guarantees: registers may be out of range, branches wild
 /// or backward, terminals missing, state accesses past the declared
-/// window. Most seeds fail verification; the differential suite uses
-/// them to pin `RunError` parity between backends.
+/// window. Most seeds fail verification; the few that pass feed the
+/// interpreter's "verified programs never trap" soundness test.
 pub fn random_raw_program(seed: u64) -> VrpProgram {
     let mut rng = Rng::new(seed ^ 0xDEAD_BEEF_CAFE_F00D);
     let n = 1 + (rng.below(12) as usize);

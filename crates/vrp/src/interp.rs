@@ -381,8 +381,7 @@ mod tests {
             seed in npr_check::any::<u64>(),
         ) {
             // Generate a structurally valid random program from the
-            // shared fuzz corpus (also used by the compiled-backend
-            // differential suite).
+            // shared fuzz corpus.
             let prog = crate::gen::random_program(seed);
             if let Ok(cost) = analyze(&prog) {
                 let mut full_mp = [0u8; 64];
@@ -405,9 +404,9 @@ mod tests {
 
     #[test]
     fn branch_to_end_is_graceful_termination() {
-        // Satellite-1 pin: the verifier admits `target == n` (its DP
-        // models index n as zero-cost termination), so the interpreter
-        // must exit forwarding — never `FellOffEnd` — on that path.
+        // The verifier admits `target == n` (its DP models index n as
+        // zero-cost termination), so the interpreter must exit
+        // forwarding — never `FellOffEnd` — on that path.
         let taken = VrpProgram {
             name: "br-to-end".into(),
             insns: vec![
@@ -452,12 +451,55 @@ mod tests {
             run(&prog, &mut [0x5A; 64], &mut state)
                 .expect("verified program hit a dynamic RunError");
         }
+        // Arbitrary raw sequences: the interpreter runs every one
+        // without panicking, and the few that pass `analyze` never
+        // trap either. Count every verdict so no case is vacuous.
+        let (mut verified, mut ran, mut trapped) = (0u32, 0u32, 0u32);
+        for seed in 0..2048u64 {
+            let prog = crate::gen::random_raw_program(seed);
+            let mut state = vec![0x3C; usize::from(prog.state_bytes)];
+            let r = run(&prog, &mut [0x3C; 64], &mut state);
+            if analyze(&prog).is_ok() {
+                r.expect("verified raw program hit a dynamic RunError");
+                verified += 1;
+            } else if r.is_ok() {
+                ran += 1;
+            } else {
+                trapped += 1;
+            }
+        }
+        assert!(verified > 0, "no raw seed verified: the raw set is vacuous");
+        assert!(ran > 0, "no unverified raw seed ran to completion");
+        assert!(trapped > 0, "no raw seed produced a dynamic error");
+    }
+
+    #[test]
+    fn shift_amounts_use_modulo_32_semantics() {
+        // Register shift amounts are taken mod 32: a shift by 32 is the
+        // identity, 33 shifts by one. Both directions.
+        for (amt, expect_shl, expect_shr) in [
+            (31u32, 0x8000_0000u32, 0u32),
+            (32, 3, 3),
+            (33, 6, 1),
+            (u32::MAX, 0x8000_0000, 0),
+        ] {
+            let mut a = Asm::new("shift");
+            a.imm(0, 3).imm(1, amt);
+            a.shl(2, 0, Src::Reg(1));
+            a.shr(3, 0, Src::Reg(1));
+            a.stw(0, 2).stw(4, 3).done();
+            let p = a.finish(0).unwrap();
+            let mut mp = [0u8; 64];
+            let r = run(&p, &mut mp, &mut []).unwrap();
+            assert_eq!(r.action, VrpAction::Forward);
+            assert_eq!(u32::from_be_bytes(mp[0..4].try_into().unwrap()), expect_shl);
+            assert_eq!(u32::from_be_bytes(mp[4..8].try_into().unwrap()), expect_shr);
+        }
     }
 
     #[test]
     fn shift_semantics_are_modulo_32() {
-        // Satellite-2 pin at the interpreter level: shift amounts are
-        // taken mod 32, so shifting by 32 is the identity.
+        // Immediate shift amounts follow the same mod-32 rule.
         let mut a = Asm::new("t");
         a.imm(0, 3)
             .shl(1, 0, Src::Imm(32))
@@ -470,5 +512,22 @@ mod tests {
         run(&p, &mut mp, &mut []).unwrap();
         assert_eq!(u32::from_be_bytes(mp[0..4].try_into().unwrap()), 3);
         assert_eq!(mp[4], 1);
+    }
+
+    #[test]
+    fn hash_is_low_32_bits_of_hash48() {
+        // Find an input whose 48-bit hash has high bits set, and
+        // require exactly the low-32-bit truncation.
+        let v = (0u32..)
+            .find(|&v| hash48(u64::from(v)) > u64::from(u32::MAX))
+            .expect("some small input hashes above 2^32");
+        let mut a = Asm::new("hash");
+        a.imm(0, v).hash(1, 0).stw(0, 1).done();
+        let p = a.finish(0).unwrap();
+        let mut mp = [0u8; 64];
+        let r = run(&p, &mut mp, &mut []).unwrap();
+        assert_eq!(r.hashes, 1);
+        let got = u32::from_be_bytes(mp[0..4].try_into().unwrap());
+        assert_eq!(u64::from(got), hash48(u64::from(v)) & 0xFFFF_FFFF);
     }
 }

@@ -32,7 +32,7 @@ pub enum AluOp {
     /// taken modulo 32 (`x << (y & 31)`), so a shift by 32 leaves the
     /// value unchanged rather than zeroing it — matching the
     /// MicroEngine barrel shifter, which only decodes the low five
-    /// bits. Both execution backends implement exactly this.
+    /// bits.
     Shl,
     /// Logical shift right, same modulo-32 semantics as [`AluOp::Shl`].
     Shr,
@@ -166,8 +166,7 @@ pub enum Insn {
     /// Hardware hash. Canonical semantics: `dst` receives the **low 32
     /// bits** of the 48-bit hardware hash (`hash48(src) & 0xFFFF_FFFF`);
     /// the top 16 bits are discarded, never folded in. One cycle plus
-    /// one hash-unit use (budget: 3 per MP). Both execution backends
-    /// implement exactly this.
+    /// one hash-unit use (budget: 3 per MP).
     Hash {
         /// Destination GPR.
         dst: u8,

@@ -21,17 +21,13 @@
 //! * **Interpreter** ([`interp`]): executes a program against real MP
 //!   bytes and flow state, returning the action taken and the exact
 //!   dynamic cost (which the simulator charges to the input context).
-//!   The interpreter is the semantic oracle: it runs anything,
-//!   including unverifiable programs, and defines what "correct" means.
-//! * **Compiler** ([`compile()`]): the compile-on-verify tier. A
-//!   *verified* program lowers once into a direct-threaded chain of
-//!   pre-resolved closures with all bounds checks hoisted; results are
-//!   bit-identical to the interpreter (the differential suite holds the
-//!   backends in lock-step over the shared [`gen`] corpus) while the
-//!   host wall-clock per packet drops.
+//!   It is the one execution semantics: the router runs every installed
+//!   forwarder through [`run`], and it runs anything, including
+//!   unverifiable programs, whose dynamic checks surface their traps.
+//!   Host speed of this tier never changes the model, because the cost
+//!   is charged in simulated time.
 
 pub mod asm;
-pub mod compile;
 pub mod disasm;
 pub mod gen;
 pub mod interp;
@@ -39,7 +35,6 @@ pub mod isa;
 pub mod verify;
 
 pub use asm::{Asm, AsmError};
-pub use compile::{compile, CompiledProgram, Executable, VrpBackend};
 pub use disasm::{disasm, disasm_insn};
 pub use interp::{run, RunError, RunResult, VrpAction};
 pub use isa::{AluOp, Cond, Insn, Src, VrpProgram, NUM_GPRS};

@@ -274,7 +274,7 @@ pub fn analyze(prog: &VrpProgram) -> Result<VrpCost, VerifyError> {
     // Fall-through check: requiring the final instruction to be
     // terminal guarantees sequential execution cannot fall off the end.
     // Branching to index n is *not* falling off: the DP below models
-    // dp[n] as zero-cost termination, and both backends execute a
+    // dp[n] as zero-cost termination, and the interpreter executes a
     // branch-to-end as a graceful `Done`-style exit. (A final `Br` to n
     // would also be safe but is conservatively rejected here.)
     if !prog.insns[n - 1].is_terminal() {

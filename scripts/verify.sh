@@ -43,36 +43,6 @@ if ! echo "$diff_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
     exit 1
 fi
 
-# The VRP backend differential suite is the compiled tier's correctness
-# gate: the interpreter is the semantic oracle, and the compiled block
-# machine must match it bit-for-bit (results, cycles, MP and flow-state
-# mutations) over the shared fuzz corpus. Zero tests executed is a
-# failure, same as the scheduler gate above.
-vrp_diff_out="$(cargo test -q --offline -p npr-vrp --test differential 2>&1)" || {
-    echo "$vrp_diff_out"
-    echo "ERROR: VRP backend differential suite failed" >&2
-    exit 1
-}
-echo "$vrp_diff_out"
-if ! echo "$vrp_diff_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: VRP backend differential suite ran zero tests" >&2
-    exit 1
-fi
-
-# Same gate one layer up: the full router must produce identical packet
-# digests, drop accounting, and health decisions on both backends
-# across the fault corpus (release, so the full seeded sweeps run).
-backend_out="$(cargo test -q --release --offline -p npr-core --test backend_differential 2>&1)" || {
-    echo "$backend_out"
-    echo "ERROR: router backend differential suite failed" >&2
-    exit 1
-}
-echo "$backend_out"
-if ! echo "$backend_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: router backend differential suite ran zero tests" >&2
-    exit 1
-fi
-
 # The parallel-delivery differential gates: the conservative parallel
 # engine must match the lock-step sequential oracle bit-for-bit, first
 # at the engine level (npr-sim: seeded scenario generator plus the
@@ -124,13 +94,10 @@ for suite in differential faults parallel_differential; do
 done
 
 # Record the scheduler perf baseline: events/sec (calendar vs oracle)
-# and per-experiment wall-clock, plus the VRP backend axis (service
-# corpus + forwarder-heavy throughput on both tiers and the compiled
-# speedup), and the parallel `threads` axis (fault-sweep wall-clock at
-# 1/2/4/8 worker threads). simbench exits nonzero if the calendar
-# queue diverges from the oracle, if the VRP backends diverge on its
-# fuzz sweep, or if the parallel fault sweep is not bit-identical to
-# the sequential one.
+# and per-experiment wall-clock, plus the parallel `threads` axis
+# (fault-sweep wall-clock at 1/2/4/8 worker threads). simbench exits
+# nonzero if the calendar queue diverges from the oracle or if the
+# parallel fault sweep is not bit-identical to the sequential one.
 cargo run --release --offline --bin simbench -- --quick --out BENCH_sim.json
 
 # Parallel fault-sweep speedup gate: on hosts with at least 4 cores
