@@ -242,7 +242,7 @@ impl Pentium {
             self.jobs_finished += 1;
             let bytes = op.pci_down_bytes(bus.cfg.ctl_desc_bytes);
             let done_t = bus.ctl_pci_transfer(bytes);
-            bus.send_at(done_t, PlaneEvent::CtlAdmit(op));
+            bus.send_at(done_t, PlaneEvent::CtlAdmit(Box::new(op)));
             bus.wake_pe_in(0);
             return;
         }
@@ -281,7 +281,7 @@ impl Pentium {
                     done_t,
                     PlaneEvent::PeWriteback {
                         desc: item.desc,
-                        head: item.head,
+                        head: Box::new(item.head),
                     },
                 );
             }
@@ -299,7 +299,7 @@ impl Pentium {
         bus.wake_pe_in(0);
     }
 
-    fn writeback(&mut self, bus: &mut Bus<'_>, desc: u32, head: [u8; 64]) {
+    fn writeback(&mut self, bus: &mut Bus<'_>, desc: u32, head: &[u8; 64]) {
         bus.pci.release_buffer();
         let h = BufferHandle::from_descriptor(desc);
         if bus.world.pool.read(h).is_some() {
@@ -325,14 +325,14 @@ impl Plane for Pentium {
         match ev {
             PlaneEvent::PeArrive(item) => {
                 let flow = usize::from(item.flow).min(self.inbound.len() - 1);
-                self.inbound[flow].push_back(item);
+                self.inbound[flow].push_back(*item);
                 bus.wake_pe_in(0);
             }
             PlaneEvent::PeWake => self.wake(bus),
             PlaneEvent::PeDone => self.finish(bus),
-            PlaneEvent::PeWriteback { desc, head } => self.writeback(bus, desc, head),
+            PlaneEvent::PeWriteback { desc, head } => self.writeback(bus, desc, &head),
             PlaneEvent::CtlSubmit(op) => {
-                self.ctl_q.push_back(op);
+                self.ctl_q.push_back(*op);
                 bus.wake_pe_in(0);
             }
             other => debug_assert!(false, "misrouted event {other:?}"),

@@ -143,6 +143,11 @@ impl ControlOp {
 }
 
 /// Typed inter-plane messages on the shared event queue.
+///
+/// Every queue operation moves one of these, and machine events are
+/// nearly all of the traffic, so the enum stays at 24 bytes: the rare
+/// Pentium and control payloads are boxed rather than widening every
+/// variant (`plane_event_stays_small` guards the size).
 #[derive(Debug)]
 pub enum PlaneEvent {
     /// Fast path: a machine event (context dispatch, DMA completion,
@@ -150,7 +155,7 @@ pub enum PlaneEvent {
     Machine(IxpEv),
     /// Fast path: an admitted control op lands in the instruction
     /// store (freeze window starts now).
-    CtlApply(ControlOp),
+    CtlApply(Box<ControlOp>),
     /// StrongARM: look for work.
     SaPoll,
     /// StrongARM: the current job finished. The generation number guards
@@ -162,7 +167,7 @@ pub enum PlaneEvent {
         gen: u64,
     },
     /// StrongARM: a control op crossed the bus from the Pentium.
-    CtlAdmit(ControlOp),
+    CtlAdmit(Box<ControlOp>),
     /// Watchdog pulse: scheduled by the health monitor when it first
     /// observes a stall, so detection happens at the configured bound
     /// even if the event queue would otherwise go quiet. A no-op at the
@@ -171,7 +176,7 @@ pub enum PlaneEvent {
     /// bit-identical.
     HealthPulse,
     /// Pentium: a packet arrived over PCI.
-    PeArrive(PeItem),
+    PeArrive(Box<PeItem>),
     /// Pentium: look for work.
     PeWake,
     /// Pentium: the current job finished.
@@ -184,10 +189,10 @@ pub enum PlaneEvent {
         /// IXP-side descriptor.
         desc: u32,
         /// Possibly modified head bytes.
-        head: [u8; 64],
+        head: Box<[u8; 64]>,
     },
     /// Pentium: the operator submitted a control op.
-    CtlSubmit(ControlOp),
+    CtlSubmit(Box<ControlOp>),
 }
 
 impl PlaneEvent {
@@ -420,16 +425,27 @@ mod tests {
         assert_eq!(PlaneEvent::SaPoll.dest(), PlaneId::StrongArm);
         assert_eq!(PlaneEvent::PeDone.dest(), PlaneId::Pentium);
         assert_eq!(
-            PlaneEvent::CtlSubmit(op(ControlVerb::GetData { fid: 1, bytes: 4 })).dest(),
+            PlaneEvent::CtlSubmit(Box::new(op(ControlVerb::GetData { fid: 1, bytes: 4 }))).dest(),
             PlaneId::Pentium
         );
         assert_eq!(
-            PlaneEvent::CtlAdmit(op(ControlVerb::SetData { fid: 1, bytes: 4 })).dest(),
+            PlaneEvent::CtlAdmit(Box::new(op(ControlVerb::SetData { fid: 1, bytes: 4 }))).dest(),
             PlaneId::StrongArm
         );
         assert_eq!(
-            PlaneEvent::CtlApply(op(ControlVerb::Install { fid: 1, slots: 9 })).dest(),
+            PlaneEvent::CtlApply(Box::new(op(ControlVerb::Install { fid: 1, slots: 9 }))).dest(),
             PlaneId::Fast
+        );
+    }
+
+    #[test]
+    fn plane_event_stays_small() {
+        // Each schedule and pop moves one event; a large variant would
+        // inflate all of them, machine events included.
+        let size = core::mem::size_of::<PlaneEvent>();
+        assert!(
+            size <= 24,
+            "PlaneEvent is {size} bytes; box the new payload"
         );
     }
 

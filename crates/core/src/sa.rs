@@ -558,7 +558,7 @@ impl StrongArm {
     fn finish_control(&mut self, bus: &mut Bus<'_>, op: ControlOp) {
         let now = bus.now();
         if op.istore_slots() > 0 {
-            bus.send_at(now, PlaneEvent::CtlApply(op));
+            bus.send_at(now, PlaneEvent::CtlApply(Box::new(op)));
             return;
         }
         let up = op.pci_up_bytes(bus.cfg.ctl_desc_bytes);
@@ -619,7 +619,7 @@ impl StrongArm {
                 let done_t = bus.pci_transfer(bytes);
                 bus.send_at(
                     done_t,
-                    PlaneEvent::PeArrive(PeItem {
+                    PlaneEvent::PeArrive(Box::new(PeItem {
                         desc,
                         flow,
                         fwdr,
@@ -627,7 +627,7 @@ impl StrongArm {
                         len,
                         mps,
                         lazy,
-                    }),
+                    })),
                 );
             }
             SaJob::SynthBridge => {
@@ -653,7 +653,7 @@ impl StrongArm {
                 let done_t = bus.pci_transfer(bytes);
                 bus.send_at(
                     done_t,
-                    PlaneEvent::PeArrive(PeItem {
+                    PlaneEvent::PeArrive(Box::new(PeItem {
                         desc: h.to_descriptor(),
                         flow: 0,
                         fwdr: u32::MAX,
@@ -661,7 +661,7 @@ impl StrongArm {
                         len: len as u16,
                         mps: npr_packet::Mp::count_for_len(len) as u8,
                         lazy,
-                    }),
+                    })),
                 );
             }
             SaJob::Local { desc, fwdr } => {
@@ -728,7 +728,7 @@ impl Plane for StrongArm {
             // deadline; the monitor itself samples after the dispatch.
             PlaneEvent::HealthPulse => {}
             PlaneEvent::CtlAdmit(op) => {
-                self.ctl_q.push_back(op);
+                self.ctl_q.push_back(*op);
                 bus.wake_sa_in(0);
             }
             other => debug_assert!(false, "misrouted event {other:?}"),

@@ -144,8 +144,7 @@ pub trait Delivery {
 /// The lock-step sequential oracle: shards advance one at a time in
 /// index order on the calling thread. Every parallel run is required
 /// to be bit-identical to this strategy (DESIGN.md §13) — the same
-/// differential policy as the calendar queue's `OracleQueue` and the
-/// VRP compiler's interpreter tier.
+/// differential policy as the event queue's `OracleQueue`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sequential;
 

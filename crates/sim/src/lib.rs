@@ -10,9 +10,10 @@
 //! dispatches them. Ties in time are broken by insertion order, so a run
 //! is a pure function of its inputs.
 //!
-//! [`EventQueue`] is a hierarchical calendar queue; the original binary
-//! heap survives as [`OracleQueue`], the reference implementation the
-//! calendar is differentially tested against (DESIGN.md §6).
+//! [`EventQueue`] is a short sorted run with a binary-heap spill, sized
+//! to the few dozen events a router run keeps pending; the original
+//! binary heap survives as [`OracleQueue`], the reference
+//! implementation it is differentially tested against (DESIGN.md §6).
 //!
 //! [`delivery`] adds conservative parallel execution over [`Shard`]s
 //! behind the [`Delivery`] strategy trait; [`Sequential`] is the
@@ -32,7 +33,7 @@ pub use delivery::{
     Parallel, Sequential, Shard,
 };
 pub use fault::{FaultClass, FaultPlan};
-pub use queue::{CalendarQueue, EventQueue, OracleQueue};
+pub use queue::{EventQueue, OracleQueue};
 pub use rng::XorShift64;
 pub use server::{Server, Wakeup};
 pub use stats::{Counter, LogHistogram};

@@ -3,26 +3,23 @@
 //! Two implementations share one contract — events pop in `(at, seq)`
 //! order, i.e. by timestamp with FIFO tie-breaking by insertion:
 //!
-//! * [`EventQueue`] (alias [`CalendarQueue`]): the production queue, a
-//!   hierarchical calendar. Near-future events hash into fixed-width
-//!   picosecond buckets on a timing wheel and are drained
-//!   FIFO-within-bucket; far-future events overflow into a sorted
-//!   spill heap and migrate onto the wheel as the horizon advances.
-//!   Scheduling into the wheel is O(1); popping is amortized O(1) for
-//!   the dense near-`now` event populations a router simulation
-//!   produces.
+//! * [`EventQueue`]: the production queue, sized to the traffic a
+//!   router simulation actually produces. The four benchmark
+//!   workloads hold 7.5–19 pending events on average and never more
+//!   than 37, so the queue is one short `Vec` kept sorted by
+//!   descending `(at, seq)`: `pop` is `Vec::pop`, and `schedule`
+//!   places the new entry by a linear scan from the earliest end.
+//!   Past a fixed run capacity, entries spill to a binary heap, so a
+//!   burst (an operator control-op storm, a synthetic stress test)
+//!   degrades to heap speed rather than to quadratic time.
 //! * [`OracleQueue`]: the original `BinaryHeap` implementation, kept
 //!   as the reference for differential testing (see
 //!   `crates/sim/tests/differential.rs` and DESIGN.md §6). Every
 //!   ordering property of `EventQueue` is checked lock-step against
 //!   this oracle.
-//!
-//! Timestamps must stay below `u64::MAX - 2^22` picoseconds (about 200
-//! days of simulated time) so bucket arithmetic cannot overflow; the
-//! simulation's runs are in the millisecond range.
 
 use core::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Time;
 
@@ -52,24 +49,14 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Log2 of the calendar bucket width in picoseconds. 4096 ps is below
-/// one MicroEngine cycle (5000 ps), so events issued on consecutive ME
-/// cycles never share a bucket and a same-timestamp burst drains FIFO
-/// out of a single bucket.
-const BUCKET_SHIFT: u32 = 12;
-
-/// Calendar bucket width in picoseconds.
-const BUCKET_WIDTH: Time = 1 << BUCKET_SHIFT;
-
-/// Wheel slots. The wheel covers `NUM_BUCKETS * BUCKET_WIDTH` (~2.1 us)
-/// of future time — enough for every memory, DMA, and compute latency
-/// in the chip model. Longer-range events (frame interarrivals,
-/// slow-path retries, idle parks) spill into the overflow heap.
-const NUM_BUCKETS: usize = 512;
-const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
+/// Capacity of the sorted run: about 3.5x the largest pending
+/// population measured on the benchmark workloads (37). Inserting is a
+/// linear scan plus a shift, so the cap bounds both; entries beyond it
+/// go to the spill heap.
+const RUN_CAP: usize = 128;
 
 /// A deterministic discrete-event queue over event type `E`, backed by
-/// a hierarchical calendar (timing wheel + overflow spill).
+/// a short sorted run with a binary-heap spill.
 ///
 /// The queue tracks the current simulation time: popping an event advances
 /// the clock to that event's timestamp. Scheduling an event in the past is
@@ -93,30 +80,15 @@ const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Sorted (by `(at, seq)`) drain region: every pending event with
-    /// `at < active_end`. Non-empty whenever the queue is non-empty.
-    active: VecDeque<Entry<E>>,
-    /// Exclusive upper time bound of `active` — the end of the bucket
-    /// the cursor sits on.
-    active_end: Time,
-    /// Wheel slot owning the bucket `[active_end - BUCKET_WIDTH,
-    /// active_end)`; always drained (its events live in `active`).
-    cursor: usize,
-    /// The timing wheel: slot `(at >> BUCKET_SHIFT) & BUCKET_MASK`
-    /// holds events of one bucket, in insertion (seq) order.
-    wheel: Vec<Vec<Entry<E>>>,
-    /// Events currently on the wheel (excluding `active`).
-    wheel_len: usize,
-    /// Spill level: events at or beyond the wheel horizon, sorted.
-    overflow: BinaryHeap<Reverse<Entry<E>>>,
-    len: usize,
+    /// Up to [`RUN_CAP`] pending events sorted by descending
+    /// `(at, seq)`: the next event to pop is the last element.
+    run: Vec<Entry<E>>,
+    /// Events scheduled while the run was full. `pop` and `peek_time`
+    /// take whichever of the two heads is earlier.
+    spill: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: Time,
 }
-
-/// The calendar implementation under its structural name (the
-/// differential tests compare `CalendarQueue` against [`OracleQueue`]).
-pub type CalendarQueue<E> = EventQueue<E>;
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
@@ -128,13 +100,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         Self {
-            active: VecDeque::new(),
-            active_end: BUCKET_WIDTH,
-            cursor: 0,
-            wheel: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
+            run: Vec::new(),
+            spill: BinaryHeap::new(),
             seq: 0,
             now: 0,
         }
@@ -148,19 +115,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.run.len() + self.spill.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Exclusive upper time bound of the wheel; later events spill.
-    #[inline]
-    fn wheel_end(&self) -> Time {
-        self.active_end
-            .saturating_add((NUM_BUCKETS as Time - 1) * BUCKET_WIDTH)
+        self.run.is_empty() && self.spill.is_empty()
     }
 
     /// Schedules `ev` at absolute time `at` (clamped to `now` if earlier).
@@ -170,30 +130,16 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         let entry = Entry { at, seq, ev };
-        if at < self.active_end {
-            // Lands in the drain region: keep it sorted. The new entry
-            // carries the largest seq ever issued, so its position is
-            // after every existing entry at the same or an earlier
-            // timestamp — FIFO tie-break preserved by construction.
-            let idx = self.active.partition_point(|e| e.at <= at);
-            if idx == self.active.len() {
-                self.active.push_back(entry);
-            } else {
-                self.active.insert(idx, entry);
-            }
-        } else if at < self.wheel_end() {
-            let slot = ((at >> BUCKET_SHIFT) & BUCKET_MASK) as usize;
-            self.wheel[slot].push(entry);
-            self.wheel_len += 1;
-        } else {
-            self.overflow.push(Reverse(entry));
+        if self.run.len() == RUN_CAP {
+            self.spill.push(Reverse(entry));
+            return;
         }
-        self.len += 1;
-        if self.active.is_empty() {
-            // First event after the queue ran dry went past the cursor
-            // bucket: advance to it so `peek_time` stays O(1).
-            self.refill();
-        }
+        // The new entry carries the largest seq ever issued, so it pops
+        // after every entry at the same or an earlier timestamp: it
+        // goes just above the last (latest-ordered) entry with a later
+        // timestamp. Scan from the earliest end, where new events land.
+        let later = self.run.iter().rposition(|e| e.at > at);
+        self.run.insert(later.map_or(0, |i| i + 1), entry);
     }
 
     /// Schedules `ev` at `now() + delay`.
@@ -201,14 +147,24 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, ev);
     }
 
+    /// `true` when the spill holds the earliest pending event.
+    #[inline]
+    fn spill_first(&self) -> bool {
+        match (self.run.last(), self.spill.peek()) {
+            (_, None) => false,
+            (None, Some(_)) => true,
+            (Some(r), Some(Reverse(s))) => s < r,
+        }
+    }
+
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let e = self.active.pop_front()?;
+        let e = if self.spill_first() {
+            self.spill.pop().map(|Reverse(e)| e)
+        } else {
+            self.run.pop()
+        }?;
         self.now = e.at;
-        self.len -= 1;
-        if self.active.is_empty() && self.len > 0 {
-            self.refill();
-        }
         Some((e.at, e.ev))
     }
 
@@ -241,69 +197,11 @@ impl<E> EventQueue<E> {
 
     /// Peeks at the timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.active.front().map(|e| e.at)
-    }
-
-    /// Advances the cursor to the next occupied bucket and drains it
-    /// into `active`. Caller guarantees `active` is empty; leaves it
-    /// non-empty whenever the queue holds events.
-    fn refill(&mut self) {
-        debug_assert!(self.active.is_empty());
-        if self.wheel_len == 0 {
-            // The wheel is dry: jump straight to the bucket of the
-            // earliest spill event instead of rotating through empty
-            // slots.
-            let Some(Reverse(head)) = self.overflow.peek() else {
-                return;
-            };
-            let bucket = head.at >> BUCKET_SHIFT;
-            self.cursor = (bucket & BUCKET_MASK) as usize;
-            self.active_end = (bucket + 1) << BUCKET_SHIFT;
-            self.migrate_overflow();
-            self.drain_cursor();
-            debug_assert!(!self.active.is_empty());
-            return;
+        if self.spill_first() {
+            self.spill.peek().map(|Reverse(e)| e.at)
+        } else {
+            self.run.last().map(|e| e.at)
         }
-        // Rotate to the next occupied slot; every wheel event is within
-        // one rotation of the cursor by construction.
-        for _ in 0..NUM_BUCKETS {
-            self.cursor = (self.cursor + 1) & (NUM_BUCKETS - 1);
-            self.active_end += BUCKET_WIDTH;
-            // The slot just vacated behind the cursor now maps one full
-            // horizon ahead: pull any spill events that fall inside it.
-            self.migrate_overflow();
-            if !self.wheel[self.cursor].is_empty() {
-                self.drain_cursor();
-                return;
-            }
-        }
-        unreachable!("wheel_len > 0 but no occupied bucket within one rotation");
-    }
-
-    /// Moves every spill event now inside the wheel horizon onto the
-    /// wheel, preserving the overflow invariant `at >= wheel_end()`.
-    fn migrate_overflow(&mut self) {
-        let wheel_end = self.wheel_end();
-        while let Some(Reverse(head)) = self.overflow.peek() {
-            if head.at >= wheel_end {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().expect("peeked entry");
-            let slot = ((e.at >> BUCKET_SHIFT) & BUCKET_MASK) as usize;
-            self.wheel[slot].push(e);
-            self.wheel_len += 1;
-        }
-    }
-
-    /// Drains the cursor's bucket into `active` in `(at, seq)` order.
-    fn drain_cursor(&mut self) {
-        let cursor = self.cursor;
-        let slot = &mut self.wheel[cursor];
-        // Keys are unique (seq is), so an unstable sort is
-        // deterministic; within one timestamp seq order == FIFO order.
-        slot.sort_unstable_by_key(|e| (e.at, e.seq));
-        self.wheel_len -= slot.len();
-        self.active.extend(slot.drain(..));
     }
 }
 
@@ -430,9 +328,9 @@ mod tests {
 
     #[test]
     fn ties_are_fifo_across_bucket_refill() {
-        // Ties landing on the wheel (beyond the first bucket) must
-        // still drain in insertion order after the bucket sort.
-        let at = 7 * BUCKET_WIDTH + 13;
+        // Ties at a timestamp away from zero (a bucket of the former
+        // calendar layout) still drain in insertion order.
+        let at = 7 * 4096 + 13;
         let mut q = EventQueue::new();
         for i in 0..50 {
             q.schedule(at, i);
@@ -509,9 +407,9 @@ mod tests {
 
     #[test]
     fn far_future_events_spill_and_return() {
-        // Events beyond the wheel horizon take the overflow path and
-        // come back in order as the horizon advances.
-        let horizon = NUM_BUCKETS as Time * BUCKET_WIDTH;
+        // Events microseconds to seconds apart, scheduled out of
+        // order, come back in order.
+        let horizon: Time = 2_097_152;
         let mut q = EventQueue::new();
         q.schedule(3 * horizon, "far");
         q.schedule(10, "near");
@@ -526,8 +424,8 @@ mod tests {
 
     #[test]
     fn sparse_wheel_jumps_instead_of_rotating() {
-        // Two events a simulated second apart (many thousand
-        // rotations): the dry-wheel jump must land exactly.
+        // Two events a simulated second apart: the clock must land
+        // exactly on the far one.
         let mut q = EventQueue::new();
         q.schedule(5, 0);
         q.schedule(1_000_000_000_000, 1);
@@ -538,14 +436,13 @@ mod tests {
 
     #[test]
     fn schedule_at_now_lands_before_later_active_events() {
-        // After a refill jump, scheduling at `now` (earlier than the
-        // events already drained into the active region is impossible,
-        // but earlier than wheel events is not) must still pop first.
+        // After the clock moves, an event scheduled just past `now`
+        // pops before a later event that was queued first.
         let mut q = EventQueue::new();
         q.schedule(10, "a");
         assert_eq!(q.pop(), Some((10, "a")));
         q.schedule(5_000_000, "late");
-        q.schedule(11, "soon"); // Earlier than "late", after a refill.
+        q.schedule(11, "soon"); // Earlier than "late", scheduled after it.
         assert_eq!(q.pop(), Some((11, "soon")));
         assert_eq!(q.pop(), Some((5_000_000, "late")));
     }
@@ -598,9 +495,9 @@ mod tests {
             match rng.below(4) {
                 0..=1 => {
                     let delay = match rng.below(3) {
-                        0 => rng.below(200),                  // Intra-bucket.
-                        1 => rng.below(100) * BUCKET_WIDTH,   // Across slots.
-                        _ => rng.below(20) * 1_000_000,       // Spill level.
+                        0 => rng.below(200),            // Dense ties.
+                        1 => rng.below(100) * 4096,     // Near future.
+                        _ => rng.below(20) * 1_000_000, // Far future.
                     };
                     let at = cal.now() + delay;
                     cal.schedule(at, i);

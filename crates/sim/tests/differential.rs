@@ -1,24 +1,30 @@
-//! Differential oracle suite: the calendar [`CalendarQueue`] must be
-//! observationally identical to the reference [`OracleQueue`] (the
-//! original binary heap) on any interleaving of operations.
+//! Differential oracle suite: the production [`EventQueue`] (a sorted
+//! run with a binary-heap spill) must be observationally identical to
+//! the reference [`OracleQueue`] (the original binary heap) on any
+//! interleaving of operations.
 //!
 //! Every property drives both queues lock-step through a seed-derived
 //! stream of `schedule`/`pop`/`peek` operations and compares every
 //! observable: popped `(time, value)` pairs (values are unique, so a
 //! seq tie-break divergence cannot hide), `peek_time`, `len`, and the
-//! clock. Timestamp regimes are chosen adversarially for a calendar
-//! queue: clusters of duplicate timestamps inside one bucket, streams
-//! straddling bucket boundaries, and far-future spikes that exercise
-//! the overflow spill level and the dry-wheel jump.
+//! clock. Timestamp regimes are chosen adversarially: clusters of
+//! duplicate timestamps, streams on exact multiples of a fixed grid,
+//! far-future spikes, and same-timestamp bursts larger than the sorted
+//! run, which push entries into the spill heap.
 
 use npr_check::prelude::*;
-use npr_sim::{CalendarQueue, OracleQueue, Time, XorShift64};
+use npr_sim::{EventQueue, OracleQueue, Time, XorShift64};
 
-/// Bucket geometry mirrored from `queue.rs` (private there): widths
-/// chosen here only to aim timestamps at calendar edge cases, never
-/// used for correctness.
+/// Timestamp scales the streams aim at: a 4096 ps grid (just under one
+/// 5000 ps ME cycle) and a ~2.1 µs horizon. They were the bucket width
+/// and wheel span of an earlier calendar-queue implementation and stay
+/// as adversarial inputs; correctness never depends on them.
 const BUCKET: Time = 4096;
 const HORIZON: Time = 512 * BUCKET;
+
+/// Capacity of the queue's sorted run (private in `queue.rs`); the
+/// storm property below requires streams that exceed it.
+const RUN_CAP: usize = 128;
 
 /// One operation on both queues.
 #[derive(Debug, Clone, Copy)]
@@ -34,11 +40,11 @@ enum Op {
 enum Regime {
     /// Duplicate-heavy cluster: few distinct timestamps, many ties.
     Clustered,
-    /// Dense near-future spread across a handful of buckets.
+    /// Dense near-future spread across a few grid steps.
     Near,
-    /// Exact bucket-boundary multiples.
+    /// Exact multiples of the 4096 ps grid.
     Boundary,
-    /// Beyond the wheel horizon (overflow spill path).
+    /// Beyond the ~2.1 µs horizon.
     FarFuture,
     /// Everything at once.
     Mixed,
@@ -73,68 +79,90 @@ fn stream(seed: u64, regime: Regime, len: usize) -> Vec<Op> {
         .collect()
 }
 
+/// Both queues plus the shared value counter. Every mutating call
+/// compares every observable afterwards.
+#[derive(Default)]
+struct LockStep {
+    q: EventQueue<u64>,
+    ora: OracleQueue<u64>,
+    next_val: u64,
+    /// Largest pending population seen.
+    max_len: usize,
+}
+
+impl LockStep {
+    /// Schedules the next value at absolute time `at` on both queues.
+    fn schedule(&mut self, at: Time) -> Result<(), String> {
+        self.q.schedule(at, self.next_val);
+        self.ora.schedule(at, self.next_val);
+        self.next_val += 1;
+        self.check()
+    }
+
+    fn schedule_in(&mut self, delay: Time) -> Result<(), String> {
+        self.q.schedule_in(delay, self.next_val);
+        self.ora.schedule_in(delay, self.next_val);
+        self.next_val += 1;
+        self.check()
+    }
+
+    /// One pop on each queue, bounded by `deadline` when given; returns
+    /// the popped event.
+    fn pop(&mut self, deadline: Option<Time>) -> Result<Option<(Time, u64)>, String> {
+        let (a, b) = match deadline {
+            Some(t) => (
+                self.q.pop_if_at_or_before(t),
+                self.ora.pop_if_at_or_before(t),
+            ),
+            None => (self.q.pop(), self.ora.pop()),
+        };
+        if a != b {
+            return Err(format!("pop {a:?} != oracle {b:?} (deadline {deadline:?})"));
+        }
+        self.check()?;
+        Ok(a)
+    }
+
+    /// Pops both queues dry, returning the number of events popped.
+    fn drain(&mut self) -> Result<usize, String> {
+        let mut n = 0;
+        while self.pop(None)?.is_some() {
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    fn check(&mut self) -> Result<(), String> {
+        let (q, ora) = (&self.q, &self.ora);
+        let got = (q.len(), q.now(), q.peek_time());
+        let want = (ora.len(), ora.now(), ora.peek_time());
+        if got != want {
+            return Err(format!("len/now/peek {got:?} != oracle {want:?}"));
+        }
+        self.max_len = self.max_len.max(q.len());
+        Ok(())
+    }
+}
+
 /// Runs `ops` against both queues lock-step, comparing every
 /// observable, then drains both and compares the full tail. Returns
 /// the number of events popped (so callers can assert coverage).
 fn run_differential(ops: &[Op]) -> Result<usize, String> {
-    let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-    let mut ora: OracleQueue<u64> = OracleQueue::new();
-    let mut next_val = 0u64;
+    let mut s = LockStep::default();
     let mut popped = 0usize;
     for (i, &op) in ops.iter().enumerate() {
-        match op {
-            Op::Schedule(d) => {
-                // Absolute time from the shared clock: both queues see
-                // the identical (at, value) pair.
-                let at = cal.now() + d;
-                cal.schedule(at, next_val);
-                ora.schedule(at, next_val);
-                next_val += 1;
-            }
-            Op::ScheduleIn(d) => {
-                cal.schedule_in(d, next_val);
-                ora.schedule_in(d, next_val);
-                next_val += 1;
-            }
-            Op::Pop => {
-                let (a, b) = (cal.pop(), ora.pop());
-                if a != b {
-                    return Err(format!("op {i}: pop {a:?} != oracle {b:?}"));
-                }
-                popped += usize::from(a.is_some());
-            }
-            Op::Peek => {
-                if cal.peek_time() != ora.peek_time() {
-                    return Err(format!(
-                        "op {i}: peek {:?} != oracle {:?}",
-                        cal.peek_time(),
-                        ora.peek_time()
-                    ));
-                }
-            }
-        }
-        if cal.len() != ora.len() {
-            return Err(format!("op {i}: len {} != oracle {}", cal.len(), ora.len()));
-        }
-        if cal.now() != ora.now() {
-            return Err(format!("op {i}: now {} != oracle {}", cal.now(), ora.now()));
-        }
+        let step = match op {
+            // Absolute time from the shared clock: both queues see the
+            // identical (at, value) pair.
+            Op::Schedule(d) => s.schedule(s.q.now() + d).map(|()| None),
+            Op::ScheduleIn(d) => s.schedule_in(d).map(|()| None),
+            Op::Pop => s.pop(None),
+            Op::Peek => s.check().map(|()| None),
+        };
+        popped += usize::from(step.map_err(|e| format!("op {i}: {e}"))?.is_some());
     }
     // Drain the tails: the full remaining pop sequences must agree.
-    loop {
-        let (a, b) = (cal.pop(), ora.pop());
-        if a != b {
-            return Err(format!("drain: pop {a:?} != oracle {b:?}"));
-        }
-        match a {
-            Some(_) => popped += 1,
-            None => break,
-        }
-    }
-    if cal.now() != ora.now() {
-        return Err(format!("drain: now {} != oracle {}", cal.now(), ora.now()));
-    }
-    Ok(popped)
+    Ok(popped + s.drain().map_err(|e| format!("drain: {e}"))?)
 }
 
 fn check_regime(seed: u64, regime: Regime) -> Result<(), String> {
@@ -177,133 +205,102 @@ proptest! {
 
     #[test]
     fn reschedule_from_dispatch_matches_oracle(seed: u64) {
-        // The simulator's dominant pattern: every pop schedules new
-        // work relative to the popped timestamp (hold model). Ties are
-        // forced regularly to stress the FIFO tie-break.
-        let mut rng = XorShift64::new(seed);
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-        let mut ora: OracleQueue<u64> = OracleQueue::new();
-        for v in 0..16u64 {
-            let at = rng.below(2 * BUCKET);
-            cal.schedule(at, v);
-            ora.schedule(at, v);
-        }
-        let mut next_val = 16u64;
-        for _ in 0..600 {
-            let (a, b) = (cal.pop(), ora.pop());
-            prop_assert_eq!(a, b);
-            let Some((t, _)) = a else { break };
-            let n_children = rng.below(2) + usize::from(next_val < 200) as u64;
-            for _ in 0..n_children {
-                let d = match rng.below(5) {
-                    0 => 0, // Duplicate `at`: same-timestamp tie.
-                    1..=2 => rng.below(3 * BUCKET),
-                    3 => rng.below(8) * BUCKET,
-                    _ => HORIZON + rng.below(4) * HORIZON,
-                };
-                cal.schedule(t + d, next_val);
-                ora.schedule(t + d, next_val);
-                next_val += 1;
-            }
-        }
-        loop {
-            let (a, b) = (cal.pop(), ora.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(cal.now(), ora.now());
+        prop_assert_eq!(reschedule_from_dispatch(seed), Ok(()));
     }
 
     #[test]
     fn pop_if_at_or_before_matches_oracle(seed: u64) {
-        // Deadline-bounded draining (the router's run_until pattern).
-        let mut rng = XorShift64::new(seed);
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-        let mut ora: OracleQueue<u64> = OracleQueue::new();
-        for v in 0..300u64 {
-            let at = delta(&mut rng, Regime::Mixed);
-            cal.schedule(at, v);
-            ora.schedule(at, v);
-        }
-        let mut deadline = 0;
-        while !cal.is_empty() || !ora.is_empty() {
-            deadline += rng.below(2 * HORIZON);
-            loop {
-                let (a, b) = (
-                    cal.pop_if_at_or_before(deadline),
-                    ora.pop_if_at_or_before(deadline),
-                );
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-            prop_assert_eq!(cal.len(), ora.len());
-            prop_assert_eq!(cal.now(), ora.now());
-        }
+        prop_assert_eq!(deadline_bounded_drain(seed), Ok(()));
     }
 }
 
-/// Overflow-spill refill ordering: events parked in the spill heap
-/// (scheduled beyond the wheel horizon) must, after migrating back
-/// into the wheel, still interleave in global `(at, seq)` FIFO order
-/// with events scheduled directly into the refilled region later. The
+/// The simulator's dominant pattern: every pop schedules new work
+/// relative to the popped timestamp (hold model). Ties are forced
+/// regularly to stress the FIFO tie-break.
+fn reschedule_from_dispatch(seed: u64) -> Result<(), String> {
+    let mut rng = XorShift64::new(seed);
+    let mut s = LockStep::default();
+    for _ in 0..16 {
+        s.schedule(rng.below(2 * BUCKET))?;
+    }
+    for _ in 0..600 {
+        let Some((t, _)) = s.pop(None)? else { break };
+        let n_children = rng.below(2) + u64::from(s.next_val < 200);
+        for _ in 0..n_children {
+            let d = match rng.below(5) {
+                0 => 0, // Duplicate `at`: same-timestamp tie.
+                1..=2 => rng.below(3 * BUCKET),
+                3 => rng.below(8) * BUCKET,
+                _ => HORIZON + rng.below(4) * HORIZON,
+            };
+            s.schedule(t + d)?;
+        }
+    }
+    s.drain().map(drop)
+}
+
+/// Deadline-bounded draining (the router's run_until pattern).
+fn deadline_bounded_drain(seed: u64) -> Result<(), String> {
+    let mut rng = XorShift64::new(seed);
+    let mut s = LockStep::default();
+    for _ in 0..300 {
+        s.schedule(delta(&mut rng, Regime::Mixed))?;
+    }
+    let mut deadline = 0;
+    while !s.q.is_empty() || !s.ora.is_empty() {
+        deadline += rng.below(2 * HORIZON);
+        while s.pop(Some(deadline))?.is_some() {}
+    }
+    Ok(())
+}
+
+/// Far-future tie ordering: events queued well beyond the horizon must
+/// still interleave in global `(at, seq)` FIFO order with events
+/// scheduled at the same timestamp after the clock has reached it. The
 /// parallel delivery engine leans on exactly this — a barrier delivers
-/// messages into a region the wheel has not reached yet, then local
-/// work schedules into the same region.
+/// messages at a future time, then local work schedules at the same
+/// time.
 #[test]
 fn overflow_spill_refill_preserves_global_fifo_order() {
-    let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-    let mut ora: OracleQueue<u64> = OracleQueue::new();
+    let mut s = LockStep::default();
     let far = 2 * HORIZON + 5;
-    // Values 0 and 1 spill (same far timestamp, insertion order 0, 1).
-    for v in [0u64, 1] {
-        cal.schedule(far, v);
-        ora.schedule(far, v);
+    // Values 0 and 1 share a far timestamp (insertion order 0, 1); the
+    // near value 2 pops first.
+    for at in [far, far, 10] {
+        s.schedule(at).unwrap();
     }
-    // A near event keeps the wheel busy below the spill region.
-    cal.schedule(10, 2);
-    ora.schedule(10, 2);
-    assert_eq!(cal.pop(), Some((10, 2)));
-    assert_eq!(ora.pop(), Some((10, 2)));
-    // First spilled event comes back: the wheel had to jump into the
-    // spill region and refill from the overflow heap.
-    assert_eq!(cal.pop(), Some((far, 0)));
-    assert_eq!(ora.pop(), Some((far, 0)));
-    // Now schedule a *new* event at the same timestamp: it must lose
-    // the tie to the still-queued refilled event (older seq), in both
-    // queues.
-    cal.schedule(far, 3);
-    ora.schedule(far, 3);
-    assert_eq!(cal.pop(), Some((far, 1)), "refilled event keeps its seq");
-    assert_eq!(ora.pop(), Some((far, 1)));
-    assert_eq!(cal.pop(), Some((far, 3)));
-    assert_eq!(ora.pop(), Some((far, 3)));
-    assert!(cal.is_empty() && ora.is_empty());
+    assert_eq!(s.pop(None), Ok(Some((10, 2))));
+    // The first far event comes back: the clock jumps to it.
+    assert_eq!(s.pop(None), Ok(Some((far, 0))));
+    // Now schedule a *new* event (value 3) at the same timestamp: it
+    // must lose the tie to the still-queued far event (older seq), in
+    // both queues.
+    s.schedule(far).unwrap();
+    assert_eq!(s.pop(None), Ok(Some((far, 1))), "older seq first");
+    assert_eq!(s.pop(None), Ok(Some((far, 3))));
+    assert!(s.q.is_empty() && s.ora.is_empty());
 }
 
-/// Dry-wheel jump across an epoch boundary: a deadline-bounded pop
-/// (the delivery engine's per-epoch drain) that ends *before* a
-/// far-future event must neither consume it nor advance the clock;
-/// the next epoch's drain must jump the dry wheel straight to it.
+/// Clock jump across an epoch boundary: a deadline-bounded pop (the
+/// delivery engine's per-epoch drain) that ends *before* a far-future
+/// event must neither consume it nor advance the clock; the next
+/// epoch's drain must jump the clock straight to it.
 #[test]
 fn dry_wheel_jump_across_an_epoch_boundary() {
-    let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-    cal.schedule(5, 0);
-    assert_eq!(cal.pop(), Some((5, 0)));
+    let mut q: EventQueue<u64> = EventQueue::new();
+    q.schedule(5, 0);
+    assert_eq!(q.pop(), Some((5, 0)));
     let far = 5 + 3 * HORIZON + 123;
-    cal.schedule(far, 1);
+    q.schedule(far, 1);
     // Epoch ending just shy of the event: dry drain, clock holds.
-    assert_eq!(cal.pop_if_at_or_before(far - 1), None);
-    assert_eq!(cal.now(), 5, "a refused pop must not advance the clock");
-    assert_eq!(cal.peek_time(), Some(far));
-    assert_eq!(cal.len(), 1);
-    // Next epoch covers it: the wheel jumps lap(s) ahead and delivers.
-    assert_eq!(cal.pop_if_at_or_before(far + HORIZON), Some((far, 1)));
-    assert_eq!(cal.now(), far);
-    assert!(cal.is_empty());
+    assert_eq!(q.pop_if_at_or_before(far - 1), None);
+    assert_eq!(q.now(), 5, "a refused pop must not advance the clock");
+    assert_eq!(q.peek_time(), Some(far));
+    assert_eq!(q.len(), 1);
+    // Next epoch covers it: the clock jumps ahead and delivers.
+    assert_eq!(q.pop_if_at_or_before(far + HORIZON), Some((far, 1)));
+    assert_eq!(q.now(), far);
+    assert!(q.is_empty());
 }
 
 /// `pop_if_at_or_before` at the exact lookahead horizon: the deadline
@@ -315,27 +312,19 @@ fn dry_wheel_jump_across_an_epoch_boundary() {
 #[test]
 fn pop_if_at_or_before_is_inclusive_at_the_exact_horizon() {
     let horizon = 7 * BUCKET; // An epoch boundary on the test grid.
-    let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-    let mut ora: OracleQueue<u64> = OracleQueue::new();
-    for (at, v) in [(horizon - 1, 0u64), (horizon, 1), (horizon, 2), (horizon + 1, 3)] {
-        cal.schedule(at, v);
-        ora.schedule(at, v);
+    let mut s = LockStep::default();
+    for at in [horizon - 1, horizon, horizon, horizon + 1] {
+        s.schedule(at).unwrap();
     }
-    for q_pops in [
-        [Some((horizon - 1, 0)), Some((horizon, 1)), Some((horizon, 2)), None],
-    ] {
-        for (i, expect) in q_pops.into_iter().enumerate() {
-            assert_eq!(cal.pop_if_at_or_before(horizon), expect, "pop {i}");
-            assert_eq!(ora.pop_if_at_or_before(horizon), expect, "oracle pop {i}");
-        }
+    let expected = [(horizon - 1, 0), (horizon, 1), (horizon, 2)];
+    for (i, expect) in expected.into_iter().map(Some).chain([None]).enumerate() {
+        assert_eq!(s.pop(Some(horizon)), Ok(expect), "pop {i}");
     }
     // The first event of the next epoch is untouched and the clock sits
-    // exactly on the horizon.
-    assert_eq!(cal.now(), horizon);
-    assert_eq!(ora.now(), horizon);
-    assert_eq!(cal.peek_time(), Some(horizon + 1));
-    assert_eq!(cal.pop_if_at_or_before(horizon + 1), Some((horizon + 1, 3)));
-    assert_eq!(ora.pop_if_at_or_before(horizon + 1), Some((horizon + 1, 3)));
+    // exactly on the horizon (`pop` compared both queues' clocks).
+    assert_eq!(s.q.now(), horizon);
+    assert_eq!(s.q.peek_time(), Some(horizon + 1));
+    assert_eq!(s.pop(Some(horizon + 1)), Ok(Some((horizon + 1, 3))));
 }
 
 /// The tie-break contract stated directly (not just "same as oracle"):
@@ -343,26 +332,80 @@ fn pop_if_at_or_before_is_inclusive_at_the_exact_horizon() {
 #[test]
 fn duplicate_timestamps_pop_in_insertion_order() {
     let mut rng = XorShift64::new(7);
-    let mut cal: CalendarQueue<(Time, u64)> = CalendarQueue::new();
+    let mut q: EventQueue<(Time, u64)> = EventQueue::new();
     let mut by_time: std::collections::BTreeMap<Time, Vec<u64>> = Default::default();
     for v in 0..2_000u64 {
-        // 32 distinct timestamps across bucket and horizon boundaries,
-        // so every storage level sees heavy duplication.
+        // Up to 16 distinct timestamps around grid and horizon boundaries,
+        // each heavily duplicated; 2,000 pending events also keep the
+        // spill heap busy.
         let at = match rng.below(4) {
             0 => rng.below(4) * 13,
             1 => BUCKET - 1 + rng.below(4),
             2 => rng.below(4) * BUCKET,
             _ => HORIZON + rng.below(4) * HORIZON,
         };
-        cal.schedule(at, (at, v));
+        q.schedule(at, (at, v));
         by_time.entry(at).or_default().push(v);
     }
     for (expect_t, expect_vals) in by_time {
         for expect_v in expect_vals {
-            let (t, (at, v)) = cal.pop().expect("queue holds all scheduled events");
+            let (t, (at, v)) = q.pop().expect("queue holds all scheduled events");
             assert_eq!(t, at);
             assert_eq!((t, v), (expect_t, expect_v));
         }
     }
-    assert!(cal.is_empty());
+    assert!(q.is_empty());
+}
+
+/// One operator control-op storm: same-timestamp bursts of 200–1,000
+/// events, mixed with near- and far-future events, partial pops and
+/// deadline-bounded drains, then a full drain. Returns the largest
+/// pending population reached.
+fn control_op_storm(seed: u64) -> Result<usize, String> {
+    let mut rng = XorShift64::new(seed ^ 0x5157_0A11);
+    let mut s = LockStep::default();
+    for round in 0..16 {
+        match if round == 0 { 0 } else { rng.below(4) } {
+            0 => {
+                let at = s.q.now() + delta(&mut rng, Regime::Mixed);
+                for _ in 0..200 + rng.below(801) {
+                    s.schedule(at)?;
+                }
+            }
+            1 => {
+                for _ in 0..1 + rng.below(64) {
+                    let regime = [Regime::Near, Regime::FarFuture][rng.below(2) as usize];
+                    s.schedule(s.q.now() + delta(&mut rng, regime))?;
+                }
+            }
+            2 => {
+                let deadline = s.q.now() + rng.below(2 * HORIZON);
+                while s.pop(Some(deadline))?.is_some() {}
+            }
+            _ => {
+                for _ in 0..rng.below(400) {
+                    s.pop(None)?;
+                }
+            }
+        }
+    }
+    s.drain()?;
+    Ok(s.max_len)
+}
+
+/// The spill path under load: every storm must match the oracle, and
+/// the suite must actually drive the queue past its run capacity (the
+/// benchmark workloads never do: their pending population peaks at 37).
+#[test]
+fn control_op_storms_past_run_capacity_match_oracle() {
+    let cases = 64;
+    let mut over_cap = 0;
+    for seed in 0..cases {
+        match control_op_storm(seed) {
+            Ok(max_len) => over_cap += usize::from(max_len > RUN_CAP),
+            Err(e) => panic!("storm seed {seed}: {e}"),
+        }
+    }
+    assert!(over_cap > 0, "no storm exceeded the {RUN_CAP}-entry run");
+    println!("{over_cap}/{cases} storms exceeded the {RUN_CAP}-entry run");
 }

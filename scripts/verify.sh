@@ -93,11 +93,12 @@ for suite in differential faults parallel_differential; do
     fi
 done
 
-# Record the scheduler perf baseline: events/sec (calendar vs oracle)
-# and per-experiment wall-clock, plus the parallel `threads` axis
-# (fault-sweep wall-clock at 1/2/4/8 worker threads). simbench exits
-# nonzero if the calendar queue diverges from the oracle or if the
-# parallel fault sweep is not bit-identical to the sequential one.
+# Record the scheduler perf baseline: events/sec (event queue vs oracle
+# heap, hold model at 32 and at 8192 pending events) and per-experiment
+# wall-clock, plus the parallel `threads` axis (fault-sweep wall-clock
+# at 1/2/4/8 worker threads). simbench exits nonzero if the event queue
+# diverges from the oracle or if the parallel fault sweep is not
+# bit-identical to the sequential one.
 cargo run --release --offline --bin simbench -- --quick --out BENCH_sim.json
 
 # Parallel fault-sweep speedup gate: on hosts with at least 4 cores
